@@ -2,14 +2,14 @@
 
 Regenerates ``BENCH_metrics.json`` at the repo root via
 :func:`repro.experiments.bench.run_bench`: for every metrics target
-the minimum-of-N wall time of the workload with sampling disabled (the
-default ``NullSampler`` path every ordinary run takes) and enabled (a
-real :class:`Sampler` at the default cadence), plus the final gauge
-snapshot the ``satr bench --compare`` gate reads.
+the minimum-of-N wall time of the workload with sampling disabled (no
+observers, the path every ordinary run takes) and enabled (a real
+:class:`Sampler` at the default cadence), plus the final gauge snapshot
+the ``satr bench --compare`` gate reads.
 
 The guarded-emission contract says the disabled path costs one
-attribute check per hook site, so the disabled run must stay within 5%
-of the enabled run's wall time (in practice it is faster — the margin
+empty-tuple check per hook site, so the disabled run must stay within
+5% of the enabled run's wall time (in practice it is faster — the margin
 absorbs timer noise).
 """
 

@@ -17,13 +17,13 @@ import json
 import time
 from pathlib import Path
 
-from repro.experiments.common import DEFAULT_SEED, QUICK, build_runtime
-from repro.experiments.tracing import (
-    _WORKLOADS,
-    COUNTER_PAIRS,
-    TRACE_CONFIGS,
-    TRACE_TARGETS,
+from repro.experiments.common import DEFAULT_SEED, QUICK
+from repro.experiments.observed import (
+    OBSERVED_CONFIGS,
+    OBSERVED_TARGETS,
+    run_observed,
 )
+from repro.experiments.tracing import COUNTER_PAIRS
 from repro.trace import Tracer
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -33,22 +33,12 @@ OUTPUT = REPO_ROOT / "BENCH_trace.json"
 RUNS = 2
 
 
-def _bench_config(target):
-    """The paper-mechanism (non-stock) configuration for a target."""
-    for label, config, mode in TRACE_CONFIGS[target]:
-        if label != "stock":
-            return config, mode
-    raise AssertionError(f"no non-stock config for {target}")
-
-
 def _timed_run(target, tracer_factory):
     """One traced workload run; returns (wall seconds, kernel, tracer)."""
-    config, mode = _bench_config(target)
     tracer = tracer_factory()
     start = time.perf_counter()
-    runtime = build_runtime(config, mode=mode, seed=DEFAULT_SEED,
-                            tracer=tracer)
-    _WORKLOADS[target](runtime, QUICK)
+    runtime = run_observed(target, OBSERVED_CONFIGS[target][0], QUICK,
+                           DEFAULT_SEED, tracer=tracer)
     return time.perf_counter() - start, runtime.kernel, tracer
 
 
@@ -58,9 +48,8 @@ def _measure_target(target):
     on_runs = [_timed_run(target, Tracer) for _ in range(RUNS)]
     on = min(sample[0] for sample in on_runs)
     _, kernel, tracer = on_runs[0]
-    config, _ = _bench_config(target)
     return {
-        "config": config,
+        "config": OBSERVED_CONFIGS[target][0],
         "wall_off_s": round(off, 4),
         "wall_on_s": round(on, 4),
         "tracing_overhead_pct": round(100.0 * (on / off - 1.0), 2),
@@ -78,7 +67,7 @@ def test_bench_trace_overhead(benchmark):
     """One-shot regeneration of BENCH_trace.json."""
     def run_all():
         return {target: _measure_target(target)
-                for target in TRACE_TARGETS}
+                for target in OBSERVED_TARGETS}
 
     targets = benchmark.pedantic(run_all, rounds=1, iterations=1)
     report = {

@@ -4,8 +4,8 @@ Two independent halves, both config-blind by construction:
 
 * :mod:`repro.check.invariants` — a runtime :class:`InvariantChecker`
   swept at kernel step boundaries (refcounts, COW protection, TLB
-  coherence, domain confinement), wired like the tracer: a ``Kernel``
-  constructor argument, never a ``KernelConfig`` field.
+  coherence, domain confinement), attached as a kernel lifecycle
+  observer, never a ``KernelConfig`` field.
 * :mod:`repro.check.semantic` — the differential oracle's state
   extractor: the observable (fault-visible) address-space state of a
   kernel, designed so two runs of one workload under different sharing
@@ -25,8 +25,6 @@ from repro.check.invariants import (
     DEFAULT_RUN_GAP,
     InvariantChecker,
     InvariantViolation,
-    NULL_CHECKER,
-    NullChecker,
     verify_kernel,
 )
 from repro.check.semantic import diff_states, semantic_state
@@ -35,8 +33,6 @@ __all__ = [
     "DEFAULT_RUN_GAP",
     "InvariantChecker",
     "InvariantViolation",
-    "NULL_CHECKER",
-    "NullChecker",
     "apply_mutation",
     "describe_mutation",
     "diff_states",

@@ -29,11 +29,10 @@ families, straight from the paper's protocol (Section 3.1-3.2):
 5. **Containment.** Every valid PTE falls inside a VMA of every address
    space that maps it.
 
-:class:`InvariantChecker` packages the sweep as a pluggable runtime
-hook, wired exactly like the PR 3 tracer: a ``Kernel`` constructor
-argument (never a ``KernelConfig`` field, so orchestrator cache digests
-are untouched), with every call site guarded by ``checker.enabled``.
-Kernel operations that move translation state (fork, exit,
+:class:`InvariantChecker` packages the sweep as a kernel lifecycle
+observer: attached through ``Kernel(config, observers=...)`` (never a
+``KernelConfig`` field, so orchestrator cache digests are untouched).
+Kernel operations that move translation state (exec, fork, exit,
 mmap/munmap/mprotect) are checked unconditionally; engine run
 boundaries are checked once at least ``run_gap_events`` access events
 have executed since the last sweep, which bounds sweep cost on
@@ -282,41 +281,15 @@ def _entry_matches_tables(kernel, task, entry, where: str,
 DEFAULT_RUN_GAP = 2000
 
 
-class NullChecker:
-    """Checking disabled: every hook is a no-op.
-
-    Mirrors ``NullTracer``: the kernel's check sites read one attribute
-    (``enabled``) and skip, so production runs pay nothing.
-    """
-
-    enabled = False
-    checks_run = 0
-
-    def after_op(self, kernel, site: str) -> None:
-        """No-op."""
-
-    def after_run(self, kernel) -> None:
-        """No-op."""
-
-    def on_event(self, kernel) -> None:
-        """No-op."""
-
-
-#: Shared do-nothing checker, the kernel's default.
-NULL_CHECKER = NullChecker()
-
-
 class InvariantChecker:
     """Sweeps :func:`verify_kernel` at kernel step boundaries.
 
     ``every_events > 0`` additionally sweeps after every N access
     events (expensive; for pinpointing a violation between two
     operation boundaries).  ``run_gap_events`` rate-limits the engine
-    run-boundary sweeps; operation boundaries (fork, exit, the VM
-    syscalls) are always swept.
+    run-boundary sweeps; operation boundaries (exec, fork, exit, the
+    VM syscalls) are always swept.
     """
-
-    enabled = True
 
     def __init__(self, every_events: int = 0,
                  run_gap_events: int = DEFAULT_RUN_GAP) -> None:
@@ -350,6 +323,9 @@ class InvariantChecker:
         self._events_pending += 1
         if self.every_events and self._events_pending >= self.every_events:
             self._sweep(kernel, "event")
+
+    def finalize(self, kernel) -> None:
+        """No-op: the last operation boundary was already swept."""
 
     def _sweep(self, kernel, site: str) -> None:
         self._events_pending = 0

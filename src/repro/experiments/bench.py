@@ -1,9 +1,9 @@
 """``satr bench``: the metrics-layer perf baseline and its comparator.
 
-Measures, for every metrics target, the minimum-of-N wall time of the
-workload with metrics sampling *off* (the default ``NullSampler`` path
-every ordinary run takes) and *on* (a real :class:`Sampler`), plus the
-run's final gauge snapshot.  The report is written to
+Measures, for every observed target, the minimum-of-N wall time of the
+workload with metrics sampling *off* (no observers, the path every
+ordinary run takes) and *on* (a real :class:`Sampler`), plus the run's
+final gauge snapshot.  The report is written to
 ``BENCH_metrics.json`` at the repo root and committed, seeding a
 trajectory of bench baselines.
 
@@ -21,16 +21,11 @@ import json
 import time
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.experiments.common import (
-    DEFAULT_SEED,
-    QUICK,
-    Scale,
-    build_runtime,
-)
-from repro.experiments.metricscells import (
-    METRICS_CONFIGS,
-    METRICS_TARGETS,
-    _WORKLOADS,
+from repro.experiments.common import DEFAULT_SEED, QUICK, Scale
+from repro.experiments.observed import (
+    OBSERVED_CONFIGS,
+    OBSERVED_TARGETS,
+    run_observed,
 )
 from repro.metrics import (
     DEFAULT_SAMPLE_EVERY,
@@ -50,24 +45,14 @@ DEFAULT_TOLERANCE = 0.15
 OVERHEAD_BUDGET = 0.05
 
 
-def bench_config(target: str):
-    """The paper-mechanism (non-stock) configuration for a target."""
-    for label, config, mode in METRICS_CONFIGS[target]:
-        if label != "stock":
-            return config, mode
-    raise AssertionError(f"no non-stock config for {target}")
-
-
 def _timed_run(target: str, scale: Scale, seed: int,
                sampler_factory: Callable[[], Optional[Sampler]]):
     """One sampled workload run; returns (wall seconds, sampler)."""
-    config, mode = bench_config(target)
     sampler = sampler_factory()
+    observers = () if sampler is None else (sampler,)
     start = time.perf_counter()
-    runtime = build_runtime(config, mode=mode, seed=seed, metrics=sampler)
-    _WORKLOADS[target](runtime, scale)
-    if sampler is not None:
-        sampler.finalize(runtime.kernel)
+    run_observed(target, OBSERVED_CONFIGS[target][0], scale, seed,
+                 observers=observers)
     return time.perf_counter() - start, sampler
 
 
@@ -87,9 +72,8 @@ def measure_target(target: str, scale: Scale = QUICK,
     ]
     on = min(sample[0] for sample in on_runs)
     sampler = on_runs[0][1]
-    config, _ = bench_config(target)
     return {
-        "config": config,
+        "config": OBSERVED_CONFIGS[target][0],
         "wall_off_s": round(off, 4),
         "wall_on_s": round(on, 4),
         "overhead_pct": round(100.0 * (on / off - 1.0), 2),
@@ -103,7 +87,7 @@ def measure_target(target: str, scale: Scale = QUICK,
 def run_bench(scale: Scale = QUICK, seed: int = DEFAULT_SEED,
               every: int = DEFAULT_SAMPLE_EVERY,
               runs: int = DEFAULT_RUNS) -> Dict[str, Any]:
-    """The full bench report across every metrics target."""
+    """The full bench report across every observed target."""
     return {
         "scale": scale.name,
         "seed": seed,
@@ -111,7 +95,7 @@ def run_bench(scale: Scale = QUICK, seed: int = DEFAULT_SEED,
         "runs_per_mode": runs,
         "targets": {
             target: measure_target(target, scale, seed, every, runs)
-            for target in METRICS_TARGETS
+            for target in OBSERVED_TARGETS
         },
     }
 

@@ -1,10 +1,11 @@
 """``satr check``: differential oracle + invariant sweeps per workload.
 
-Each check *target* (fork / launch / steady / ipc) runs one
-representative workload twice — once under the sharing configuration
-the paper proposes for that workload, once on the stock-fork kernel —
-with the runtime :class:`~repro.check.InvariantChecker` attached to
-both.  Snapshots of the observable address-space state
+Each check *target* (fork / launch / steady / ipc) runs its observed
+workload (:mod:`repro.experiments.observed`) twice — once under the
+sharing configuration the paper proposes for that workload, once on
+the stock-fork kernel — with the runtime
+:class:`~repro.check.InvariantChecker` attached to both.  Snapshots
+of the observable address-space state
 (:func:`~repro.check.semantic_state`) are taken at the same workload
 points in both cells; the merge step compares them pairwise
 (:func:`~repro.check.diff_states`).  The verdict fails on any invariant
@@ -24,105 +25,25 @@ cell parameters so mutated results can never satisfy a clean cache key.
 """
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
-from repro.android.binder import BinderBenchmark, BinderConfig
-from repro.android.layout import LayoutMode
 from repro.check import InvariantChecker, apply_mutation, diff_states, semantic_state
 from repro.common.errors import SimulationError
-from repro.common.rng import DeterministicRng
 from repro.experiments.common import (
     DEFAULT,
     DEFAULT_SEED,
     Scale,
-    build_runtime,
     format_table,
     params_with_policy,
-    scale_from_params,
-    scale_to_params,
 )
-from repro.orchestrate import Cell, Orchestrator, kernel_config_fields
-from repro.workloads.profiles import APP_PROFILES, HELLOWORLD
-from repro.workloads.session import launch_app, run_steady_state
+from repro.experiments.observed import plan_cells, run_cell, target_configs
+from repro.orchestrate import Cell, Orchestrator
 
-#: Per-target cell axes: (sharing config, stock reference config).  The
-#: sharing side uses the configuration the paper proposes for that
-#: workload (TLB sharing where the workload exercises it).
-CHECK_CONFIGS: Dict[str, Tuple[str, str]] = {
-    "fork": ("shared-ptp", "stock"),
-    "launch": ("shared-ptp-tlb", "stock"),
-    "steady": ("shared-ptp", "stock"),
-    "ipc": ("shared-ptp-tlb", "stock"),
-}
+#: Enters every check cell's params.  Bumped whenever the checked
+#: workloads change, so a cached payload of an older workload can never
+#: answer for the current one (2: the shared observed workloads).
+CHECK_REVISION = 2
 
-CHECK_TARGETS = sorted(CHECK_CONFIGS)
-
-
-# ---------------------------------------------------------------------------
-# Workloads (one per target).  ``snap`` captures one semantic-state
-# snapshot; both cells of a target call it at identical workload points.
-# ---------------------------------------------------------------------------
-
-def _workload_fork(runtime, scale: Scale, snap: Callable[[], None]) -> None:
-    kernel = runtime.kernel
-    for index in range(scale.fork_rounds):
-        child, _ = runtime.fork_app(f"check-fork-{index}")
-        snap()  # Child alive: parent/child aliasing is comparable.
-        kernel.exit_task(child)
-    snap()
-
-
-def _workload_launch(runtime, scale: Scale,
-                     snap: Callable[[], None]) -> None:
-    rng = DeterministicRng(100, "check-launch")
-    for round_index in range(scale.launch_rounds):
-        session = launch_app(
-            runtime, HELLOWORLD, rng,
-            revisit_passes=scale.revisit_passes,
-            base_burst=scale.base_burst,
-            round_seed=round_index,
-        )
-        snap()  # After the launch footprint, before teardown.
-        session.finish()
-    snap()
-
-
-def _workload_steady(runtime, scale: Scale,
-                     snap: Callable[[], None]) -> None:
-    apps = list(scale.apps) if scale.apps else list(APP_PROFILES)
-    for app in apps:
-        rng = DeterministicRng(50, f"check-steady-{app}")
-        session = launch_app(
-            runtime, APP_PROFILES[app], rng,
-            revisit_passes=scale.revisit_passes,
-            base_burst=scale.base_burst,
-        )
-        for _ in range(scale.steady_rounds):
-            run_steady_state(session, rng, base_burst=scale.base_burst)
-        snap()
-        session.finish()
-    snap()
-
-
-def _workload_ipc(runtime, scale: Scale, snap: Callable[[], None]) -> None:
-    bench = BinderBenchmark(
-        runtime, config=BinderConfig(invocations=scale.ipc_invocations)
-    )
-    bench.run()
-    snap()
-
-
-_WORKLOADS = {
-    "fork": _workload_fork,
-    "launch": _workload_launch,
-    "steady": _workload_steady,
-    "ipc": _workload_ipc,
-}
-
-
-# ---------------------------------------------------------------------------
-# The cell.
-# ---------------------------------------------------------------------------
 
 def check_cell(params: Dict[str, Any]) -> Dict[str, Any]:
     """One configuration's checked workload run (a self-contained cell).
@@ -132,28 +53,17 @@ def check_cell(params: Dict[str, Any]) -> Dict[str, Any]:
     captured as a violation rather than propagated, so an injected bug
     produces a failing payload instead of a dead worker.
     """
-    scale = scale_from_params(params["scale"])
-    target = params["target"]
     checker = InvariantChecker(every_events=params["every"])
     states: List[Dict[str, Any]] = []
     violations: List[str] = []
     with apply_mutation(params["inject"]):
         try:
-            runtime = build_runtime(
-                params["config"],
-                mode=LayoutMode[params["mode"]],
-                seed=params["seed"],
-                checker=checker,
-                policy=params.get("policy", "baseline"),
-            )
-            _WORKLOADS[target](
-                runtime, scale,
-                lambda: states.append(semantic_state(runtime.kernel)),
-            )
+            run_cell(params, observers=(checker,),
+                     snap=lambda kernel: states.append(semantic_state(kernel)))
         except SimulationError as exc:
             violations.append(f"{type(exc).__name__}: {exc}")
     return {
-        "target": target,
+        "target": params["target"],
         "label": params["label"],
         "config": params["config"],
         "injected": params["inject"],
@@ -176,38 +86,22 @@ def check_cells(target: str, scale: Scale = DEFAULT,
     must be observationally invisible, so the differential oracle keeps
     comparing against the unmodified stock kernel.
     """
-    try:
-        sharing_config, stock_config = CHECK_CONFIGS[target]
-    except KeyError:
-        raise KeyError(
-            f"unknown check target {target!r}; known: {CHECK_TARGETS}"
-        ) from None
-    axes = [
-        (sharing_config, sharing_config, inject, policy),
-        (stock_config, stock_config, None, "baseline"),
-    ]
-    return [
-        Cell(
-            experiment=f"check-{target}",
-            cell_id=(label if mutation is None else f"{label}+{mutation}")
-                    + ("" if cell_policy == "baseline"
-                       else f"@{cell_policy}"),
-            fn="repro.experiments.checking:check_cell",
-            params=params_with_policy({
-                "target": target,
-                "label": label,
-                "config": config_name,
-                "mode": LayoutMode.ORIGINAL.name,
-                "scale": scale_to_params(scale),
-                "seed": seed,
-                "inject": mutation,
-                "every": every,
-            }, cell_policy),
-            config_fields=kernel_config_fields(config_name,
-                                               policy=cell_policy),
-        )
-        for label, config_name, mutation, cell_policy in axes
-    ]
+    sharing, stock = target_configs("check", target)
+    axes = [(sharing, inject, policy), (stock, None, "baseline")]
+    return plan_cells("check", "repro.experiments.checking:check_cell", [
+        (target,
+         (config if mutation is None else f"{config}+{mutation}")
+         + ("" if cell_policy == "baseline" else f"@{cell_policy}"),
+         config,
+         params_with_policy({
+             "label": config,
+             "mode": "ORIGINAL",
+             "inject": mutation,
+             "every": every,
+             "revision": CHECK_REVISION,
+         }, cell_policy))
+        for config, mutation, cell_policy in axes
+    ], scale, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -300,12 +194,6 @@ class CheckResult:
         return "\n".join(lines)
 
 
-def merge_check(target: str,
-                payloads: List[Dict[str, Any]]) -> CheckResult:
-    """Pure merge: cell payloads (in cell order) -> CheckResult."""
-    return CheckResult(target=target, payloads=payloads)
-
-
 def run_check(target: str, scale: Scale = DEFAULT,
               orchestrator: Optional[Orchestrator] = None,
               seed: int = DEFAULT_SEED,
@@ -316,4 +204,4 @@ def run_check(target: str, scale: Scale = DEFAULT,
     orchestrator = orchestrator or Orchestrator()
     cells = check_cells(target, scale, seed, inject=inject, every=every,
                         policy=policy)
-    return merge_check(target, orchestrator.run(cells))
+    return CheckResult(target=target, payloads=orchestrator.run(cells))

@@ -89,22 +89,20 @@ def build_runtime(
     asid_enabled: bool = True,
     seed: int = 7,
     tracer=None,
-    checker=None,
-    metrics=None,
+    observers: Sequence = (),
     policy: str = "baseline",
 ) -> AndroidRuntime:
     """A booted Android runtime under one kernel configuration.
 
-    ``tracer`` (a :class:`repro.trace.Tracer`) is attached *before*
-    boot, so a trace covers the kernel's whole lifetime and its
-    per-type counts can be compared against the global counters.
-    ``checker`` (a :class:`repro.check.InvariantChecker`) likewise: the
-    boot sequence itself runs under the invariant sweeps.  ``metrics``
-    (a :class:`repro.metrics.Sampler`) likewise again: the series
-    starts at boot, so lifecycle gauges cover the kernel's whole life.
-    ``policy`` names a :mod:`repro.policy` translation policy — unlike
-    the three runtime hooks it becomes a config field (it changes
-    semantics) and therefore enters cache digests.
+    ``tracer`` (a :class:`repro.trace.Tracer`) and ``observers`` (such
+    as a :class:`repro.check.InvariantChecker` or a
+    :class:`repro.metrics.Sampler`) are attached *before* boot, so they
+    cover the kernel's whole lifetime: trace counts can be compared
+    against the global counters, boot runs under the invariant sweeps,
+    and a metrics series starts at boot.  ``policy`` names a
+    :mod:`repro.policy` translation policy — unlike those runtime hooks
+    it becomes a config field (it changes semantics) and therefore
+    enters cache digests.
     """
     try:
         config: KernelConfig = CONFIG_FACTORIES[config_name]()
@@ -114,8 +112,7 @@ def build_runtime(
             f"{sorted(CONFIG_FACTORIES)}"
         ) from None
     config = config.with_(asid_enabled=asid_enabled, policy=policy)
-    kernel = Kernel(config=config, tracer=tracer, checker=checker,
-                    metrics=metrics)
+    kernel = Kernel(config=config, tracer=tracer, observers=observers)
     return boot_android(kernel, mode=mode, seed=seed)
 
 

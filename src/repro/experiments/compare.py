@@ -1,13 +1,14 @@
 """``satr compare``: the translation-policy x workload ablation matrix.
 
-Every cell runs one (policy, target) pair: the target's representative
-sharing workload (the same drivers ``satr trace``/``satr metrics``
-use) booted under the target's sharing configuration with one
-:mod:`repro.policy` translation policy installed.  Cells route through
-:mod:`repro.orchestrate` like every other experiment, so serial,
-``--jobs N`` and cache-replayed runs produce byte-identical payloads —
-and because the policy name is a ``KernelConfig`` field it keys the
-cache digest, so two policies can never satisfy each other's entries.
+Every cell runs one (policy, target) pair: the target's observed
+workload (:mod:`repro.experiments.observed`, the same drivers
+``satr trace``/``satr metrics`` use) booted under the target's sharing
+configuration with one :mod:`repro.policy` translation policy
+installed.  Cells route through :mod:`repro.orchestrate` like every
+other experiment, so serial, ``--jobs N`` and cache-replayed runs
+produce byte-identical payloads — and because the policy name is a
+``KernelConfig`` field it keys the cache digest, so two policies can
+never satisfy each other's entries.
 
 The merge step ranks the policies per target by total page-walk cycles
 (the quantity every successor design in PAPERS.md optimises) and
@@ -19,37 +20,16 @@ import json
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.experiments.common import (
-    DEFAULT,
-    DEFAULT_SEED,
-    Scale,
-    build_runtime,
-    format_table,
-    scale_from_params,
-    scale_to_params,
+from repro.experiments.common import DEFAULT, DEFAULT_SEED, Scale, format_table
+from repro.experiments.observed import (
+    OBSERVED_CONFIGS,
+    plan_cells,
+    run_cell,
+    target_configs,
 )
-from repro.experiments.tracing import _WORKLOADS
 from repro.metrics import Sampler
-from repro.orchestrate import (
-    Cell,
-    FoldStats,
-    Orchestrator,
-    fold_ordered,
-    kernel_config_fields,
-)
+from repro.orchestrate import Cell, FoldStats, Orchestrator, fold_ordered
 from repro.policy import policy_class, policy_names
-
-#: Per-target kernel configuration: the *sharing* side of the check
-#: matrix — policies are ablations over shared PTPs/TLB entries, so
-#: they run where sharing is actually on.
-COMPARE_CONFIGS: Dict[str, str] = {
-    "fork": "shared-ptp",
-    "launch": "shared-ptp-tlb",
-    "steady": "shared-ptp",
-    "ipc": "shared-ptp-tlb",
-}
-
-COMPARE_TARGETS = sorted(COMPARE_CONFIGS)
 
 #: Default matrix axes: two workloads x every registered policy.
 DEFAULT_COMPARE_TARGETS = ("fork", "launch")
@@ -69,18 +49,8 @@ GAUGE_COLUMNS = (
 
 def compare_cell(params: Dict[str, Any]) -> Dict[str, Any]:
     """One (policy, target) run: final gauges + the policy's counters."""
-    scale = scale_from_params(params["scale"])
-    target = params["target"]
     sampler = Sampler(every_events=0)
-    runtime = build_runtime(
-        params["config"],
-        seed=params["seed"],
-        metrics=sampler,
-        policy=params["policy"],
-    )
-    _WORKLOADS[target](runtime, scale)
-    sampler.finalize(runtime.kernel)
-    kernel = runtime.kernel
+    kernel = run_cell(params, observers=(sampler,)).kernel
     final = sampler.final_values()
     walk_cycles = sum(
         core.stats.itlb_stall + core.stats.dtlb_stall
@@ -90,7 +60,7 @@ def compare_cell(params: Dict[str, Any]) -> Dict[str, Any]:
         str(kind): value for kind, value in kernel.policy.gauges().items()
     }
     return {
-        "target": target,
+        "target": params["target"],
         "policy": params["policy"],
         "config": params["config"],
         "gauges": {
@@ -122,32 +92,17 @@ def compare_cells(targets: Sequence[str], policies: Sequence[str],
     always present (baseline included): ``compare`` is a new experiment
     with no pre-policy digests to preserve.
     """
-    for target in targets:
-        if target not in COMPARE_CONFIGS:
-            raise KeyError(
-                f"unknown compare target {target!r}; known: "
-                f"{COMPARE_TARGETS}"
-            )
+    # Policies are ablations over shared PTPs and TLB entries, so they
+    # run under each target's sharing configuration.
+    sharing = {target: target_configs("compare", target)[0]
+               for target in targets}
     for policy in policies:
         policy_class(policy)  # Fail before any cell is planned.
-    return [
-        Cell(
-            experiment=f"compare-{target}",
-            cell_id=policy,
-            fn="repro.experiments.compare:compare_cell",
-            params={
-                "target": target,
-                "config": COMPARE_CONFIGS[target],
-                "policy": policy,
-                "scale": scale_to_params(scale),
-                "seed": seed,
-            },
-            config_fields=kernel_config_fields(COMPARE_CONFIGS[target],
-                                               policy=policy),
-        )
+    return plan_cells("compare", "repro.experiments.compare:compare_cell", [
+        (target, policy, sharing[target], {"policy": policy})
         for target in targets
         for policy in policies
-    ]
+    ], scale, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +158,7 @@ def render_ranked_tables(targets: Sequence[str],
                 f"{gauges['sharing_ratio']:.3f}",
                 row["top_events"],
             ])
-        config = COMPARE_CONFIGS[target]
+        config = OBSERVED_CONFIGS[target][0]
         blocks.append(format_table(
             ["#", "Policy"] + [h for _, h in GAUGE_COLUMNS]
             + ["Policy events (top)"],
@@ -281,13 +236,6 @@ class CompareSummary:
         return render_ranked_tables(self.targets, self.rows)
 
 
-def merge_compare(targets: Sequence[str], policies: Sequence[str],
-                  payloads: List[Dict[str, Any]]) -> CompareResult:
-    """Pure merge: cell payloads (in cell order) -> CompareResult."""
-    return CompareResult(targets=list(targets), policies=list(policies),
-                         payloads=payloads)
-
-
 def run_compare(targets: Sequence[str] = DEFAULT_COMPARE_TARGETS,
                 policies: Optional[Sequence[str]] = None,
                 scale: Scale = DEFAULT,
@@ -297,7 +245,8 @@ def run_compare(targets: Sequence[str] = DEFAULT_COMPARE_TARGETS,
     policies = list(policies) if policies else list(policy_names())
     orchestrator = orchestrator or Orchestrator()
     cells = compare_cells(targets, policies, scale, seed)
-    return merge_compare(targets, policies, orchestrator.run(cells))
+    return CompareResult(targets=list(targets), policies=list(policies),
+                         payloads=orchestrator.run(cells))
 
 
 def run_compare_stream(targets: Sequence[str] = DEFAULT_COMPARE_TARGETS,

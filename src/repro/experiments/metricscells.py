@@ -1,12 +1,13 @@
 """``satr metrics``: sampled sharing/TLB time series per workload.
 
-Each metrics *target* (fork / launch / steady / ipc) runs one
-representative workload under two kernel configurations — one cell per
-configuration, routed through :mod:`repro.orchestrate` like every
-other experiment, so serial, ``--jobs N`` and cache-replayed runs
-produce byte-identical payloads.  The sampling interval (``--every``)
-is a cell parameter and therefore part of the cache key: a series
-sampled at a different cadence can never satisfy a stale cache entry.
+Each metrics *target* (fork / launch / steady / ipc) runs its observed
+workload (:mod:`repro.experiments.observed`) under two kernel
+configurations — one cell per configuration, routed through
+:mod:`repro.orchestrate` like every other experiment, so serial,
+``--jobs N`` and cache-replayed runs produce byte-identical payloads.
+The sampling interval (``--every``) is a cell parameter and therefore
+part of the cache key: a series sampled at a different cadence can
+never satisfy a stale cache entry.
 
 A cell's payload carries the full sample series (every lifecycle
 boundary plus every ``every`` access events); the merge step derives
@@ -16,19 +17,10 @@ and the JSONL time series.
 """
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional
 
-from repro.android.layout import LayoutMode
-from repro.experiments.common import (
-    DEFAULT,
-    DEFAULT_SEED,
-    Scale,
-    build_runtime,
-    format_table,
-    scale_from_params,
-    scale_to_params,
-)
-from repro.experiments.tracing import _WORKLOADS, TRACE_CONFIGS
+from repro.experiments.common import DEFAULT, DEFAULT_SEED, Scale, format_table
+from repro.experiments.observed import plan_cells, report_configs, run_cell
 from repro.metrics import (
     DEFAULT_SAMPLE_EVERY,
     Sampler,
@@ -39,16 +31,7 @@ from repro.metrics import (
     sparkline,
     to_prometheus,
 )
-from repro.orchestrate import Cell, Orchestrator, kernel_config_fields
-
-#: Per-target cell axes: the same (label, config, layout) pairs the
-#: trace targets use — two configurations so ``--jobs 2`` genuinely
-#: parallelises and the exposition compares sharing against stock.
-METRICS_CONFIGS: Dict[str, List[Tuple[str, str, LayoutMode]]] = (
-    TRACE_CONFIGS
-)
-
-METRICS_TARGETS = sorted(METRICS_CONFIGS)
+from repro.orchestrate import Cell, Orchestrator
 
 #: The headline series the summary view sketches, as
 #: (metric, label value or None, display name, display scale divisor).
@@ -71,19 +54,10 @@ _HEADLINES = [
 
 def metrics_cell(params: Dict[str, Any]) -> Dict[str, Any]:
     """One configuration's sampled workload run (a self-contained cell)."""
-    scale = scale_from_params(params["scale"])
-    target = params["target"]
     sampler = Sampler(every_events=params["every"])
-    runtime = build_runtime(
-        params["config"],
-        mode=LayoutMode[params["mode"]],
-        seed=params["seed"],
-        metrics=sampler,
-    )
-    _WORKLOADS[target](runtime, scale)
-    sampler.finalize(runtime.kernel)
+    run_cell(params, observers=(sampler,))
     return {
-        "target": target,
+        "target": params["target"],
         "label": params["label"],
         "config": params["config"],
         "every": params["every"],
@@ -96,30 +70,12 @@ def metrics_cells(target: str, scale: Scale = DEFAULT,
                   seed: int = DEFAULT_SEED,
                   every: int = DEFAULT_SAMPLE_EVERY) -> List[Cell]:
     """The per-configuration metrics cells for one target."""
-    try:
-        configs = METRICS_CONFIGS[target]
-    except KeyError:
-        raise KeyError(
-            f"unknown metrics target {target!r}; known: {METRICS_TARGETS}"
-        ) from None
-    return [
-        Cell(
-            experiment=f"metrics-{target}",
-            cell_id=f"{label}@{every}",
-            fn="repro.experiments.metricscells:metrics_cell",
-            params={
-                "target": target,
-                "label": label,
-                "config": config_name,
-                "mode": mode.name,
-                "scale": scale_to_params(scale),
-                "seed": seed,
-                "every": every,
-            },
-            config_fields=kernel_config_fields(config_name),
-        )
-        for label, config_name, mode in configs
-    ]
+    fn = "repro.experiments.metricscells:metrics_cell"
+    return plan_cells("metrics", fn, [
+        (target, f"{config}@{every}", config,
+         {"label": config, "mode": "ORIGINAL", "every": every})
+        for config in report_configs("metrics", target)
+    ], scale, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -185,12 +141,6 @@ class MetricsResult:
         return jsonl_lines(self.target, self.payloads)
 
 
-def merge_metrics(target: str,
-                  payloads: List[Dict[str, Any]]) -> MetricsResult:
-    """Pure merge: cell payloads (in cell order) -> MetricsResult."""
-    return MetricsResult(target=target, payloads=payloads)
-
-
 def run_metrics(target: str, scale: Scale = DEFAULT,
                 orchestrator: Optional[Orchestrator] = None,
                 seed: int = DEFAULT_SEED,
@@ -198,7 +148,7 @@ def run_metrics(target: str, scale: Scale = DEFAULT,
     """Run one metrics target through the orchestrator."""
     orchestrator = orchestrator or Orchestrator()
     cells = metrics_cells(target, scale, seed, every)
-    return merge_metrics(target, orchestrator.run(cells))
+    return MetricsResult(target=target, payloads=orchestrator.run(cells))
 
 
 # ---------------------------------------------------------------------------

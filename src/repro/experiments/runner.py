@@ -425,6 +425,7 @@ def _build_orchestrator(args: argparse.Namespace,
 def trace_main(argv) -> int:
     """The ``satr trace`` subcommand: run, report, export."""
     from repro.experiments import tracing
+    from repro.experiments.observed import OBSERVED_TARGETS
     from repro.trace import DEFAULT_RING_SIZE
 
     parser = argparse.ArgumentParser(
@@ -434,7 +435,7 @@ def trace_main(argv) -> int:
                      "workload runs; export JSONL or a Perfetto-loadable "
                      "Chrome trace."),
     )
-    parser.add_argument("target", choices=tracing.TRACE_TARGETS,
+    parser.add_argument("target", choices=OBSERVED_TARGETS,
                         help="workload to trace")
     parser.add_argument("--scale", default="default",
                         choices=sorted(SCALES))
@@ -481,6 +482,7 @@ def check_main(argv) -> int:
     """The ``satr check`` subcommand: invariants + differential oracle."""
     from repro.check import mutation_names
     from repro.experiments import checking
+    from repro.experiments.observed import OBSERVED_TARGETS
 
     parser = argparse.ArgumentParser(
         prog="satr check",
@@ -490,7 +492,7 @@ def check_main(argv) -> int:
                      "shared-vs-stock differential oracle.  Exits "
                      "non-zero on any violation or divergence."),
     )
-    parser.add_argument("target", choices=checking.CHECK_TARGETS,
+    parser.add_argument("target", choices=OBSERVED_TARGETS,
                         help="workload to check")
     parser.add_argument("--scale", default="default",
                         choices=sorted(SCALES))
@@ -536,6 +538,7 @@ def check_main(argv) -> int:
 def metrics_main(argv) -> int:
     """The ``satr metrics`` subcommand: sample, report, export."""
     from repro.experiments import metricscells
+    from repro.experiments.observed import OBSERVED_TARGETS
     from repro.metrics import DEFAULT_SAMPLE_EVERY
 
     parser = argparse.ArgumentParser(
@@ -546,7 +549,7 @@ def metrics_main(argv) -> int:
                      "rates) while a workload runs; print a terminal "
                      "summary or export Prometheus text / JSONL."),
     )
-    parser.add_argument("target", choices=metricscells.METRICS_TARGETS,
+    parser.add_argument("target", choices=OBSERVED_TARGETS,
                         help="workload to sample")
     parser.add_argument("--scale", default="default",
                         choices=sorted(SCALES))
@@ -595,6 +598,7 @@ def metrics_main(argv) -> int:
 def compare_main(argv) -> int:
     """The ``satr compare`` subcommand: the policy x target matrix."""
     from repro.experiments import compare
+    from repro.experiments.observed import OBSERVED_TARGETS
     from repro.policy import policy_names
 
     known_policies = ", ".join(policy_names())
@@ -611,7 +615,7 @@ def compare_main(argv) -> int:
                         default=",".join(compare.DEFAULT_COMPARE_TARGETS),
                         help="comma-separated workloads (default: "
                              f"{','.join(compare.DEFAULT_COMPARE_TARGETS)}; "
-                             f"choose from {', '.join(compare.COMPARE_TARGETS)})")
+                             f"choose from {', '.join(OBSERVED_TARGETS)})")
     parser.add_argument("--policies", default=None,
                         help="comma-separated policies (default: all "
                              f"registered: {known_policies})")
@@ -623,10 +627,10 @@ def compare_main(argv) -> int:
     _add_exec_args(parser)
     args = parser.parse_args(argv)
     targets = [t for t in args.targets.split(",") if t]
-    unknown = sorted(set(targets) - set(compare.COMPARE_TARGETS))
+    unknown = sorted(set(targets) - set(OBSERVED_TARGETS))
     if unknown:
         parser.error(f"unknown target(s) {', '.join(unknown)}; choose "
-                     f"from {', '.join(compare.COMPARE_TARGETS)}")
+                     f"from {', '.join(OBSERVED_TARGETS)}")
     policies = None
     if args.policies is not None:
         policies = [p for p in args.policies.split(",") if p]

@@ -1,9 +1,10 @@
 """``satr trace``: run a workload with event tracing, export the trace.
 
-Each trace *target* (fork / launch / steady / ipc) runs a representative
-workload under two kernel configurations — one cell per configuration,
-routed through :mod:`repro.orchestrate` like every other experiment.
-A cell's payload carries the tracer summary, the kernel's counters, the
+Each trace *target* (fork / launch / steady / ipc) runs its observed
+workload (:mod:`repro.experiments.observed`) under two kernel
+configurations — one cell per configuration, routed through
+:mod:`repro.orchestrate` like every other experiment.  A cell's payload
+carries the tracer summary, the kernel's counters, the
 counter-agreement check, and the retained events, so a cache-replayed
 cell reproduces the exact same report and export files as a fresh run.
 
@@ -18,19 +19,9 @@ import json
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.common.rng import DeterministicRng
-from repro.android.binder import BinderBenchmark, BinderConfig
-from repro.android.layout import LayoutMode
-from repro.experiments.common import (
-    DEFAULT,
-    DEFAULT_SEED,
-    Scale,
-    build_runtime,
-    format_table,
-    scale_from_params,
-    scale_to_params,
-)
-from repro.orchestrate import Cell, Orchestrator, jsonable, kernel_config_fields
+from repro.experiments.common import DEFAULT, DEFAULT_SEED, Scale, format_table
+from repro.experiments.observed import plan_cells, report_configs, run_cell
+from repro.orchestrate import Cell, Orchestrator, jsonable
 from repro.trace import (
     DEFAULT_RING_SIZE,
     TraceEvent,
@@ -38,8 +29,6 @@ from repro.trace import (
     top_unshare_offenders,
     write_chrome,
 )
-from repro.workloads.profiles import APP_PROFILES, HELLOWORLD
-from repro.workloads.session import launch_app, run_steady_state
 
 #: (event type value, Counters attribute) pairs the agreement check
 #: verifies.  PAGE_FAULT, TLB_FILL and TLB_FLUSH have no one-to-one
@@ -53,81 +42,6 @@ COUNTER_PAIRS: List[Tuple[str, str]] = [
     ("fork", "forks"),
     ("ctx_switch", "context_switches"),
 ]
-
-#: Per-target cell axes: (label, kernel config, layout mode).  Two
-#: configurations per target so ``--jobs 2`` genuinely parallelises.
-TRACE_CONFIGS: Dict[str, List[Tuple[str, str, LayoutMode]]] = {
-    "fork": [
-        ("shared-ptp", "shared-ptp", LayoutMode.ORIGINAL),
-        ("stock", "stock", LayoutMode.ORIGINAL),
-    ],
-    "launch": [
-        ("stock", "stock", LayoutMode.ORIGINAL),
-        ("shared-ptp-tlb", "shared-ptp-tlb", LayoutMode.ORIGINAL),
-    ],
-    "steady": [
-        ("stock", "stock", LayoutMode.ORIGINAL),
-        ("shared-ptp", "shared-ptp", LayoutMode.ORIGINAL),
-    ],
-    "ipc": [
-        ("stock", "stock", LayoutMode.ORIGINAL),
-        ("shared-ptp-tlb", "shared-ptp-tlb", LayoutMode.ORIGINAL),
-    ],
-}
-
-TRACE_TARGETS = sorted(TRACE_CONFIGS)
-
-
-# ---------------------------------------------------------------------------
-# Workloads (one per target).
-# ---------------------------------------------------------------------------
-
-def _workload_fork(runtime, scale: Scale) -> None:
-    kernel = runtime.kernel
-    for index in range(scale.fork_rounds):
-        child, _ = runtime.fork_app(f"trace-fork-{index}")
-        kernel.exit_task(child)
-
-
-def _workload_launch(runtime, scale: Scale) -> None:
-    rng = DeterministicRng(100, "trace-launch")
-    for round_index in range(scale.launch_rounds):
-        session = launch_app(
-            runtime, HELLOWORLD, rng,
-            revisit_passes=scale.revisit_passes,
-            base_burst=scale.base_burst,
-            round_seed=round_index,
-        )
-        session.finish()
-
-
-def _workload_steady(runtime, scale: Scale) -> None:
-    apps = list(scale.apps) if scale.apps else list(APP_PROFILES)
-    for app in apps:
-        rng = DeterministicRng(50, f"trace-steady-{app}")
-        session = launch_app(
-            runtime, APP_PROFILES[app], rng,
-            revisit_passes=scale.revisit_passes,
-            base_burst=scale.base_burst,
-        )
-        for _ in range(scale.steady_rounds):
-            run_steady_state(session, rng, base_burst=scale.base_burst)
-        session.finish()
-
-
-def _workload_ipc(runtime, scale: Scale) -> None:
-    bench = BinderBenchmark(
-        runtime, config=BinderConfig(invocations=scale.ipc_invocations)
-    )
-    bench.run()
-
-
-_WORKLOADS = {
-    "fork": _workload_fork,
-    "launch": _workload_launch,
-    "steady": _workload_steady,
-    "ipc": _workload_ipc,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -151,20 +65,12 @@ def counter_agreement(counts: Dict[str, int],
 
 def trace_cell(params: Dict[str, Any]) -> Dict[str, Any]:
     """One configuration's traced workload run (a self-contained cell)."""
-    scale = scale_from_params(params["scale"])
-    target = params["target"]
     tracer = Tracer(ring_size=params["ring_size"])
-    runtime = build_runtime(
-        params["config"],
-        mode=LayoutMode[params["mode"]],
-        seed=params["seed"],
-        tracer=tracer,
-    )
-    _WORKLOADS[target](runtime, scale)
+    runtime = run_cell(params, tracer=tracer)
     counters = jsonable(runtime.kernel.counters)
     summary = tracer.summary()
     return {
-        "target": target,
+        "target": params["target"],
         "label": params["label"],
         "config": params["config"],
         "summary": summary,
@@ -178,30 +84,11 @@ def trace_cells(target: str, scale: Scale = DEFAULT,
                 seed: int = DEFAULT_SEED,
                 ring_size: int = DEFAULT_RING_SIZE) -> List[Cell]:
     """The per-configuration trace cells for one target."""
-    try:
-        configs = TRACE_CONFIGS[target]
-    except KeyError:
-        raise KeyError(
-            f"unknown trace target {target!r}; known: {TRACE_TARGETS}"
-        ) from None
-    return [
-        Cell(
-            experiment=f"trace-{target}",
-            cell_id=label,
-            fn="repro.experiments.tracing:trace_cell",
-            params={
-                "target": target,
-                "label": label,
-                "config": config_name,
-                "mode": mode.name,
-                "scale": scale_to_params(scale),
-                "seed": seed,
-                "ring_size": ring_size,
-            },
-            config_fields=kernel_config_fields(config_name),
-        )
-        for label, config_name, mode in configs
-    ]
+    return plan_cells("trace", "repro.experiments.tracing:trace_cell", [
+        (target, config, config,
+         {"label": config, "mode": "ORIGINAL", "ring_size": ring_size})
+        for config in report_configs("trace", target)
+    ], scale, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -282,12 +169,6 @@ class TraceResult:
         return "\n\n".join(lines)
 
 
-def merge_trace(target: str,
-                payloads: List[Dict[str, Any]]) -> TraceResult:
-    """Pure merge: cell payloads (in cell order) -> TraceResult."""
-    return TraceResult(target=target, payloads=payloads)
-
-
 def run_trace(target: str, scale: Scale = DEFAULT,
               orchestrator: Optional[Orchestrator] = None,
               seed: int = DEFAULT_SEED,
@@ -295,7 +176,7 @@ def run_trace(target: str, scale: Scale = DEFAULT,
     """Run one trace target through the orchestrator."""
     orchestrator = orchestrator or Orchestrator()
     cells = trace_cells(target, scale, seed, ring_size)
-    return merge_trace(target, orchestrator.run(cells))
+    return TraceResult(target=target, payloads=orchestrator.run(cells))
 
 
 # ---------------------------------------------------------------------------

@@ -70,29 +70,19 @@ class ExecutionEngine:
 
     def run(self, task: Task, events, core_id: int = None) -> None:
         """Schedule ``task`` and execute a sequence of events."""
-        core = self._kernel.schedule(task, core_id)
-        checker = self._kernel.checker
-        metrics = self._kernel.metrics
-        if checker.enabled or metrics.enabled:
-            self._run_observed(core, task, events, checker, metrics)
+        kernel = self._kernel
+        core = kernel.schedule(task, core_id)
+        observers = kernel.observers
+        if observers:
+            for event in events:
+                self.execute_event(core, task, event)
+                for observer in observers:
+                    observer.on_event(kernel)
+            for observer in observers:
+                observer.after_run(kernel)
         else:
             for event in events:
                 self.execute_event(core, task, event)
-
-    def _run_observed(self, core, task: Task, events, checker,
-                      metrics) -> None:
-        """The instrumented run loop (checker and/or sampler attached)."""
-        kernel = self._kernel
-        check = checker.enabled
-        sample = metrics.enabled
-        for event in events:
-            self.execute_event(core, task, event)
-            if check:
-                checker.on_event(kernel)
-            if sample:
-                metrics.on_event(kernel)
-        if check:
-            checker.after_run(kernel)
 
     def execute_event(self, core, task: Task, event: AccessEvent) -> None:
         """Run one access burst: translate, fault, fetch."""

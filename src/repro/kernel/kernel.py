@@ -9,7 +9,7 @@ workloads against each.
 """
 
 import itertools
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.common.constants import NUM_ASIDS
 from repro.common.errors import SimulationError
@@ -28,8 +28,6 @@ from repro.kernel.syscalls import SyscallInterface
 from repro.kernel.task import Task, TaskState
 from repro.core.ptshare import PageTableManager
 from repro.core.tlbshare import TlbSharePolicy
-from repro.check import NULL_CHECKER
-from repro.metrics import NULL_SAMPLER
 from repro.policy import policy_class
 from repro.trace import NULL_TRACER
 
@@ -39,7 +37,7 @@ class Kernel:
 
     def __init__(self, platform: Optional[Platform] = None,
                  config: Optional[KernelConfig] = None,
-                 tracer=None, checker=None, metrics=None) -> None:
+                 tracer=None, observers: Sequence = ()) -> None:
         self.platform = platform or Platform()
         self.config = config or KernelConfig()
         policy_cls = policy_class(self.config.policy)
@@ -61,21 +59,16 @@ class Kernel:
         for core in self.platform.cores:
             core.main_tlb.tracer = self.tracer
 
-        #: Runtime invariant checking, wired exactly like the tracer (a
-        #: runtime concern, never a ``KernelConfig`` field): every check
-        #: site guards on ``checker.enabled`` so the disabled path costs
-        #: one attribute read.
-        self.checker = checker if checker is not None else NULL_CHECKER
-
-        #: Time-series metrics sampling, wired exactly like the tracer
-        #: and checker (a runtime concern, never a ``KernelConfig``
-        #: field): sampled at lifecycle boundaries and, via the engine,
-        #: every N access events.
-        self.metrics = metrics if metrics is not None else NULL_SAMPLER
-        self.metrics.bind_clock(self.sim_time)
+        #: Lifecycle observers (the invariant checker, the metrics
+        #: sampler), runtime wiring like the tracer.  Each is called at
+        #: the six lifecycle sites (``after_op``), per executed event
+        #: (``on_event``) and per ``run`` (``after_run``), in attachment
+        #: order; every site guards on the tuple being non-empty.  See
+        #: :mod:`repro.experiments.observed` for the protocol.
+        self.observers = tuple(observers)
 
         #: The translation policy (see :mod:`repro.policy`).  Unlike the
-        #: three runtime hooks above it IS selected by config — it
+        #: tracer and observers above it IS selected by config — it
         #: changes semantics, so it must enter cache digests.  Hardware
         #: objects call through instance attributes, mirroring the
         #: tracer wiring.
@@ -142,9 +135,8 @@ class Kernel:
     def exec_zygote(self, task: Task) -> None:
         """Mark ``task`` as the zygote (the exec-time flag of 3.2.2)."""
         self.tlbshare.on_exec(task, is_zygote_binary=True)
-        metrics = self.metrics
-        if metrics.enabled:
-            metrics.after_op(self, "exec")
+        if self.observers:
+            self.notify("exec")
 
     def fork(self, parent: Task, name: str) -> "tuple[Task, ForkReport]":
         """Fork a task under the configured policy."""
@@ -152,12 +144,8 @@ class Kernel:
         policy = self.policy
         if policy.active:
             policy.on_fork(parent, result[0])
-        checker = self.checker
-        if checker.enabled:
-            checker.after_op(self, "fork")
-        metrics = self.metrics
-        if metrics.enabled:
-            metrics.after_op(self, "fork")
+        if self.observers:
+            self.notify("fork")
         return result
 
     def exit_task(self, task: Task) -> None:
@@ -174,12 +162,13 @@ class Kernel:
                 core.current_task = None
         task.state = TaskState.EXITED
         self._free_asids.append(task.asid)
-        checker = self.checker
-        if checker.enabled:
-            checker.after_op(self, "exit")
-        metrics = self.metrics
-        if metrics.enabled:
-            metrics.after_op(self, "exit")
+        if self.observers:
+            self.notify("exit")
+
+    def notify(self, site: str) -> None:
+        """Tell every observer a lifecycle operation just finished."""
+        for observer in self.observers:
+            observer.after_op(self, site)
 
     # ------------------------------------------------------------------
     # Scheduling / execution.

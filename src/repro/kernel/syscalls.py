@@ -66,12 +66,8 @@ class SyscallInterface:
         # other sharers' address spaces).
         self._unshare_range(task, vma.start, vma.end, "new-region")
         task.mm.insert_vma(vma)
-        checker = kernel.checker
-        if checker.enabled:
-            checker.after_op(kernel, "mmap")
-        metrics = kernel.metrics
-        if metrics.enabled:
-            metrics.after_op(kernel, "mmap")
+        if kernel.observers:
+            kernel.notify("mmap")
         return vma
 
     # ------------------------------------------------------------------
@@ -91,12 +87,8 @@ class SyscallInterface:
         if cleared:
             kernel.flush_task_tlbs(task)
             kernel.counter_scope(task).bump("tlb_shootdowns")
-        checker = kernel.checker
-        if checker.enabled:
-            checker.after_op(kernel, "munmap")
-        metrics = kernel.metrics
-        if metrics.enabled:
-            metrics.after_op(kernel, "munmap")
+        if kernel.observers:
+            kernel.notify("munmap")
         return cleared
 
     # ------------------------------------------------------------------
@@ -122,12 +114,8 @@ class SyscallInterface:
                 self._write_protect_range(task, inner)
         kernel.flush_task_tlbs(task)
         kernel.counter_scope(task).bump("tlb_shootdowns")
-        checker = kernel.checker
-        if checker.enabled:
-            checker.after_op(kernel, "mprotect")
-        metrics = kernel.metrics
-        if metrics.enabled:
-            metrics.after_op(kernel, "mprotect")
+        if kernel.observers:
+            kernel.notify("mprotect")
 
     # ------------------------------------------------------------------
     # Helpers.

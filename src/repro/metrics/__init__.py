@@ -8,11 +8,10 @@ gauges on an access-event interval and at every lifecycle boundary,
 Prometheus/OpenMetrics and JSONL expositions, and the perf-baseline
 harness behind ``satr bench``.
 
-Wiring contract (shared with the tracer and checker): the sampler is a
-``Kernel(config, metrics=...)`` / ``build_runtime(metrics=...)``
-runtime argument, never a ``KernelConfig`` field, so orchestrator
-cache digests are unaffected and the disabled path costs one attribute
-read per site (``NULL_SAMPLER``).
+Wiring contract (shared with the checker): the sampler is a kernel
+lifecycle observer, attached through ``Kernel(config, observers=...)``
+/ ``build_runtime(observers=...)`` and never a ``KernelConfig`` field,
+so orchestrator cache digests are unaffected.
 """
 
 from repro.metrics.collect import (
@@ -41,8 +40,6 @@ from repro.metrics.registry import (
 )
 from repro.metrics.sampler import (
     DEFAULT_SAMPLE_EVERY,
-    NULL_SAMPLER,
-    NullSampler,
     Sampler,
 )
 from repro.metrics.summary import series_of, sparkline
@@ -55,8 +52,6 @@ __all__ = [
     "MetricError",
     "MetricSpec",
     "MetricsRegistry",
-    "NULL_SAMPLER",
-    "NullSampler",
     "PAGETABLE_BYTES_BOUNDS",
     "PGD_BYTES",
     "PROMETHEUS_CONTENT_TYPE",

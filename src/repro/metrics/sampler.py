@@ -1,12 +1,10 @@
-"""The time-series sampler and its zero-cost disabled counterpart.
+"""The time-series sampler: a kernel lifecycle observer.
 
-Wired exactly like the tracer and the invariant checker: a runtime
-``Kernel(config, metrics=...)`` argument — deliberately **never** a
-``KernelConfig`` field, so the orchestrator's cache digests are
-unaffected — with every hook site guarded by ``metrics.enabled``.
-``NullSampler.enabled`` is a class attribute set to ``False``, so
-disabled runs pay one attribute load and one branch per site (the
-bench harness holds this to the same <=5% budget as the tracer).
+Attached like any observer — ``Kernel(config, observers=(sampler,))``
+/ ``build_runtime(..., observers=...)``, runtime wiring deliberately
+**never** a ``KernelConfig`` field, so the orchestrator's cache digests
+are unaffected.  An unobserved kernel pays one empty-tuple check per
+hook site.
 
 Sampling cadence:
 
@@ -15,15 +13,16 @@ Sampling cadence:
 * at every lifecycle boundary — fork, exit, exec, mmap, munmap,
   mprotect — via :meth:`Sampler.after_op`, so the series always has a
   point exactly where sharing state moves;
-* once at workload end via :meth:`Sampler.finalize` (the cell driver
-  calls it), so the final gauges exist even for workloads shorter than
-  one interval.
+* once at workload end via :meth:`Sampler.finalize` (the observed-run
+  path calls it), so the final gauges exist even for workloads shorter
+  than one interval.
 
 Each sample is a JSON-safe record ``{seq, time, site, events,
-values}`` validated against the registry schema at record time.
+values}`` stamped with the kernel's simulated time and validated
+against the registry schema at record time.
 """
 
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Dict, List
 
 from repro.metrics.collect import collect, default_registry
 
@@ -34,11 +33,8 @@ DEFAULT_SAMPLE_EVERY = 2000
 class Sampler:
     """Snapshots the kernel's sharing gauges into a time series."""
 
-    enabled = True
-
     def __init__(self, every_events: int = DEFAULT_SAMPLE_EVERY,
-                 registry=None,
-                 clock: Optional[Callable[[], float]] = None) -> None:
+                 registry=None) -> None:
         if (not isinstance(every_events, int)
                 or isinstance(every_events, bool)):
             raise ValueError(
@@ -54,16 +50,11 @@ class Sampler:
             default_registry()
         )
         self.samples: List[Dict[str, Any]] = []
-        self._clock = clock
         self._seq = 0
         self._events_seen = 0
         self._events_pending = 0
 
     # ------------------------------------------------------------------
-
-    def bind_clock(self, clock: Callable[[], float]) -> None:
-        """Attach the simulated-time source (the kernel does this)."""
-        self._clock = clock
 
     def on_event(self, kernel) -> None:
         """Count one access event; sample when the interval is due."""
@@ -76,8 +67,11 @@ class Sampler:
         """Sample at a lifecycle boundary (fork/exit/exec/VM syscalls)."""
         self.sample(kernel, site)
 
+    def after_run(self, kernel) -> None:
+        """No-op: run boundaries are not sampled."""
+
     def finalize(self, kernel) -> None:
-        """The workload-end sample (cell drivers call this once)."""
+        """The workload-end sample (the observed-run path calls this)."""
         self.sample(kernel, "final")
 
     def sample(self, kernel, site: str) -> None:
@@ -86,9 +80,7 @@ class Sampler:
         self.registry.validate(values)
         self.samples.append({
             "seq": self._seq,
-            "time": self._clock() if self._clock is not None else (
-                float(self._seq)
-            ),
+            "time": kernel.sim_time(),
             "site": site,
             "events": self._events_seen,
             "values": values,
@@ -107,38 +99,3 @@ class Sampler:
         """The last snapshot's values (empty dict when never sampled)."""
         return dict(self.samples[-1]["values"]) if self.samples else {}
 
-
-class NullSampler:
-    """Metrics disabled: hot paths see ``enabled == False``.
-
-    The hooks exist (as no-ops) so an unguarded call is still safe,
-    but instrumented code must branch on ``enabled`` — the overhead
-    bench enforces that the disabled path never reaches them.
-    """
-
-    enabled = False
-    every_events = 0
-    samples: List[Dict[str, Any]] = []
-    events_seen = 0
-
-    def bind_clock(self, clock: Callable[[], float]) -> None:
-        """No-op; the null sampler keeps no time."""
-
-    def on_event(self, kernel) -> None:
-        """No-op."""
-
-    def after_op(self, kernel, site: str) -> None:
-        """No-op."""
-
-    def finalize(self, kernel) -> None:
-        """No-op."""
-
-    def sample(self, kernel, site: str) -> None:
-        """No-op."""
-
-    def final_values(self) -> Dict[str, Any]:
-        return {}
-
-
-#: Shared default instance: stateless, so one object serves everyone.
-NULL_SAMPLER = NullSampler()

@@ -268,6 +268,10 @@ def _endpoint_of(method: str, path: str) -> str:
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     server_version = f"satr-serve/{__version__}"
+    #: TCP_NODELAY: headers and body go out in two sends, so with Nagle
+    #: on every later reply on a kept-alive connection would wait for
+    #: the client's delayed ACK (~40 ms).
+    disable_nagle_algorithm = True
 
     @property
     def app(self) -> ServeApp:

@@ -11,10 +11,8 @@ produce byte-identical payloads.
 import pytest
 
 from repro.check import (
-    NULL_CHECKER,
     InvariantChecker,
     InvariantViolation,
-    NullChecker,
     apply_mutation,
     describe_mutation,
     diff_states,
@@ -45,7 +43,8 @@ def make_checked_kernel(config_name="shared-ptp", checker=None,
     config = CONFIG_FACTORIES[config_name]()
     if overrides:
         config = config.with_(**overrides)
-    return Kernel(config=config, checker=checker)
+    return Kernel(config=config,
+                  observers=() if checker is None else (checker,))
 
 
 def make_checked_runtime(config_name="shared-ptp", checker=None,
@@ -109,11 +108,6 @@ class TestVerifyKernel:
 # ---------------------------------------------------------------------------
 
 class TestCheckerWiring:
-    def test_kernel_defaults_to_null_checker(self):
-        kernel = make_kernel("shared-ptp")
-        assert kernel.checker is NULL_CHECKER
-        assert not NullChecker.enabled
-
     def test_invalid_args_rejected(self):
         with pytest.raises(ValueError):
             InvariantChecker(every_events=-1)

@@ -2,11 +2,14 @@
 
 import pytest
 
+from repro.android.zygote import ZygoteCalibration, boot_android
 from repro.common.constants import PAGE_SIZE
 from repro.common.events import AccessEvent, AccessType, ifetch, load, store
 from repro.common.perms import MapFlags, Prot
 from repro.hw.memory import FrameKind
+from repro.kernel.config import shared_ptp_config
 from repro.kernel.engine import KernelPath
+from repro.kernel.kernel import Kernel
 from tests.conftest import make_kernel
 
 ANON = MapFlags.PRIVATE | MapFlags.ANONYMOUS
@@ -199,3 +202,52 @@ class TestKernelLifecycle:
         delta = task.stats.delta_since(snap)
         assert delta.total_cycles > 0
         assert delta.total_cycles <= task.stats.total_cycles
+
+
+class _LoggingObserver:
+    """Appends ``(name, call)`` to a shared log for every kernel call."""
+
+    def __init__(self, name, log):
+        self.name = name
+        self.log = log
+
+    def after_op(self, kernel, site):
+        self.log.append((self.name, site))
+
+    def on_event(self, kernel):
+        self.log.append((self.name, "event"))
+
+    def after_run(self, kernel):
+        self.log.append((self.name, "run"))
+
+    def finalize(self, kernel):
+        self.log.append((self.name, "final"))
+
+
+class TestObservers:
+    def test_observers_see_every_site_in_attachment_order(self):
+        assert Kernel().observers == ()
+
+        log = []
+        kernel = Kernel(config=shared_ptp_config(),
+                        observers=(_LoggingObserver("first", log),
+                                   _LoggingObserver("second", log)))
+        boot_android(kernel, calibration=ZygoteCalibration.small())
+        boot_calls = [call for name, call in log if name == "first"]
+        assert boot_calls.count("exec") == 1
+        del log[:]
+
+        task = kernel.create_process("app")
+        heap = kernel.syscalls.mmap(task, 4 * PAGE_SIZE,
+                                    Prot.READ | Prot.WRITE, ANON,
+                                    addr=0x50000000)
+        kernel.run(task, [store(heap.start + i * PAGE_SIZE)
+                          for i in range(3)])
+        kernel.syscalls.mprotect(task, heap.start, PAGE_SIZE, Prot.READ)
+        child, _ = kernel.fork(task, "child")
+        kernel.exit_task(child)
+        kernel.syscalls.munmap(task, heap.start, PAGE_SIZE)
+        calls = ["mmap", "event", "event", "event", "run", "mprotect",
+                 "fork", "exit", "munmap"]
+        assert log == [(name, call) for call in calls
+                       for name in ("first", "second")]

@@ -2,11 +2,11 @@
 
 Covers the contracts ``repro.metrics`` promises: schema-first
 validation (every exposed series has a declaration), sampler cadence
-over lifecycle boundaries and event intervals, NullSampler's zero-cost
-disabled path, a Prometheus exposition that round-trips through the
-parser with full ``# TYPE`` coverage, deterministic JSONL, TLB
-flush-kind accounting, serial-vs-parallel payload equality through the
-orchestrator, and the ``satr bench`` regression comparator.
+over lifecycle boundaries and event intervals, a Prometheus exposition
+that round-trips through the parser with full ``# TYPE`` coverage,
+deterministic JSONL, TLB flush-kind accounting, serial-vs-parallel
+payload equality through the orchestrator, and the ``satr bench``
+regression comparator.
 """
 
 import copy
@@ -20,13 +20,11 @@ from repro.experiments.common import QUICK, build_runtime
 from repro.experiments.metricscells import run_metrics
 from repro.hw.tlb import MainTlb, MicroTlb, TlbEntry
 from repro.metrics import (
-    NULL_SAMPLER,
     PROMETHEUS_CONTENT_TYPE,
     Histogram,
     MetricError,
     MetricSpec,
     MetricsRegistry,
-    NullSampler,
     Sampler,
     collect,
     default_registry,
@@ -45,7 +43,7 @@ from repro.orchestrate import Orchestrator
 def sampled_runtime():
     """A shared-PTP runtime sampled through boot, a fork, and an exit."""
     sampler = Sampler(every_events=500)
-    runtime = build_runtime("shared-ptp", seed=7, metrics=sampler)
+    runtime = build_runtime("shared-ptp", seed=7, observers=(sampler,))
     child, _ = runtime.fork_app("app")
     runtime.kernel.exit_task(child)
     sampler.finalize(runtime.kernel)
@@ -210,15 +208,6 @@ class TestSampler:
             sampler.on_event(kernel=None)  # Must never try to sample.
         assert sampler.samples == []
         assert sampler.events_seen == 50
-
-    def test_null_sampler_is_disabled_and_empty(self):
-        assert NULL_SAMPLER.enabled is False
-        assert isinstance(NULL_SAMPLER, NullSampler)
-        NULL_SAMPLER.on_event(kernel=None)
-        NULL_SAMPLER.after_op(kernel=None, site="fork")
-        NULL_SAMPLER.finalize(kernel=None)
-        assert NULL_SAMPLER.samples == []
-        assert NULL_SAMPLER.final_values() == {}
 
     def test_collect_gauges_agree_with_kernel(self, sampled_runtime):
         """The snapshot derives from the same introspection the

@@ -25,6 +25,7 @@ from repro.common.errors import ConfigError
 from repro.experiments import compare, fork
 from repro.experiments.checking import check_cells, run_check
 from repro.experiments.common import QUICK, build_runtime
+from repro.experiments.observed import OBSERVED_CONFIGS
 from repro.hw.tlb import TlbEntry
 from repro.kernel.config import shared_ptp_tlb_config
 from repro.kernel.kernel import Kernel
@@ -274,7 +275,7 @@ class TestKernelWiring:
 
     def test_metrics_sampler_exposes_policy_events(self):
         sampler = Sampler(every_events=0)
-        runtime = build_runtime("shared-ptp-tlb", metrics=sampler,
+        runtime = build_runtime("shared-ptp-tlb", observers=(sampler,),
                                 policy="victima")
         sampler.finalize(runtime.kernel)
         series = sampler.final_values()["satr_policy_events_total"]
@@ -283,7 +284,7 @@ class TestKernelWiring:
 
     def test_baseline_metrics_have_a_policy_sample(self):
         sampler = Sampler(every_events=0)
-        runtime = build_runtime("shared-ptp", metrics=sampler)
+        runtime = build_runtime("shared-ptp", observers=(sampler,))
         sampler.finalize(runtime.kernel)
         assert sampler.final_values()["satr_policy_events_total"] == {
             "none": 0}
@@ -375,8 +376,8 @@ class TestCompare:
         ]
         for cell in cells:
             assert cell.params["policy"] in ("baseline", "victima")
-            assert cell.params["config"] == compare.COMPARE_CONFIGS[
-                cell.params["target"]]
+            assert cell.params["config"] == OBSERVED_CONFIGS[
+                cell.params["target"]][0]
 
     def test_unknown_axes_fail_before_planning(self):
         with pytest.raises(KeyError, match="unknown compare target"):

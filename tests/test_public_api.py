@@ -32,7 +32,8 @@ PUBLIC_MODULES = [
     "repro.experiments.bench", "repro.experiments.common",
     "repro.experiments.fork", "repro.experiments.ipc",
     "repro.experiments.launch", "repro.experiments.metricscells",
-    "repro.experiments.motivation", "repro.experiments.runner",
+    "repro.experiments.motivation", "repro.experiments.observed",
+    "repro.experiments.runner",
     "repro.experiments.steady",
     "repro.metrics", "repro.metrics.registry", "repro.metrics.collect",
     "repro.metrics.sampler", "repro.metrics.expose",

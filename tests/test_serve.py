@@ -246,6 +246,25 @@ class TestHttpBasics:
         assert status == 200 and body["status"] == "ok"
         assert "gated" in body["targets"]
 
+    def test_kept_alive_connection_has_no_ack_stall(self, served):
+        """Replies after the first on one connection must not wait for
+        the client's delayed ACK (Nagle's algorithm, ~40 ms each)."""
+        _, url, _ = served
+        connection = http.client.HTTPConnection(url[len("http://"):],
+                                                timeout=30)
+        try:
+            elapsed = []
+            for _ in range(5):
+                started = time.perf_counter()
+                connection.request("GET", "/healthz")
+                response = connection.getresponse()
+                response.read()
+                elapsed.append(time.perf_counter() - started)
+                assert response.status == 200
+        finally:
+            connection.close()
+        assert sorted(elapsed)[2] < 0.020, elapsed
+
     def test_unknown_paths_are_404(self, served):
         _, url, _ = served
         assert _get_json(f"{url}/nope")[0] == 404
