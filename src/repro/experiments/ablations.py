@@ -336,13 +336,9 @@ class CachePollutionResult:
 
 def _l2_ptp_lines(kernel, ptp_pfns) -> int:
     """Count shared-L2 lines holding content of the given PTP frames."""
-    count = 0
     l2 = kernel.platform.shared_l2
-    for cache_set in l2._sets:
-        for line in cache_set:
-            if (line << l2.line_shift) >> 12 in ptp_pfns:
-                count += 1
-    return count
+    return sum(1 for line in l2.lines()
+               if (line << l2.line_shift) >> 12 in ptp_pfns)
 
 
 def _code_ptp_pfns(kernel, tasks, start: int, end: int) -> set:
