@@ -1,10 +1,11 @@
 """Trace-subsystem overhead benchmark: tracer on vs off, per target.
 
 Regenerates ``BENCH_trace.json`` at the repo root: for every trace
-target the minimum-of-N wall time of the instrumented workload with
-tracing disabled (the default ``NullTracer`` path every ordinary run
-takes) and enabled (a full ring-buffer ``Tracer``), the tracing
-overhead that difference implies, and the run's key counter totals.
+target the minimum-of-N wall time of a fresh boot plus the instrumented
+workload with tracing disabled (the default ``NullTracer`` path every
+ordinary run takes) and enabled (a full ring-buffer ``Tracer``), the
+tracing overhead that difference implies, and the run's key counter
+totals.
 
 The guarded-emission contract says the disabled path costs one
 attribute check per emission site, so the disabled run must stay
@@ -14,15 +15,11 @@ acceptance check reads.
 """
 
 import json
-import time
 from pathlib import Path
 
+from repro.experiments.bench import timed_run
 from repro.experiments.common import DEFAULT_SEED, QUICK
-from repro.experiments.observed import (
-    OBSERVED_CONFIGS,
-    OBSERVED_TARGETS,
-    run_observed,
-)
+from repro.experiments.observed import OBSERVED_CONFIGS, OBSERVED_TARGETS
 from repro.experiments.tracing import COUNTER_PAIRS
 from repro.trace import Tracer
 
@@ -34,12 +31,13 @@ RUNS = 2
 
 
 def _timed_run(target, tracer_factory):
-    """One traced workload run; returns (wall seconds, kernel, tracer)."""
+    """One traced workload run; returns (wall seconds, kernel, tracer).
+
+    Both arms boot fresh (:func:`repro.experiments.bench.timed_run`).
+    """
     tracer = tracer_factory()
-    start = time.perf_counter()
-    runtime = run_observed(target, OBSERVED_CONFIGS[target][0], QUICK,
-                           DEFAULT_SEED, tracer=tracer)
-    return time.perf_counter() - start, runtime.kernel, tracer
+    wall, runtime = timed_run(target, QUICK, DEFAULT_SEED, tracer=tracer)
+    return wall, runtime.kernel, tracer
 
 
 def _measure_target(target):

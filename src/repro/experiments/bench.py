@@ -1,11 +1,11 @@
 """``satr bench``: the metrics-layer perf baseline and its comparator.
 
-Measures, for every observed target, the minimum-of-N wall time of the
-workload with metrics sampling *off* (no observers, the path every
-ordinary run takes) and *on* (a real :class:`Sampler`), plus the run's
-final gauge snapshot.  The report is written to
-``BENCH_metrics.json`` at the repo root and committed, seeding a
-trajectory of bench baselines.
+Measures, for every observed target, the minimum-of-N wall time of a
+fresh boot plus the workload with metrics sampling *off* (no observers,
+the hook path every ordinary run takes) and *on* (a real
+:class:`Sampler`), plus the run's final gauge snapshot.  The report is
+written to ``BENCH_metrics.json`` at the repo root and committed,
+seeding a trajectory of bench baselines.
 
 ``compare_reports`` is the regression gate: given a current report and
 a committed baseline it flags (a) wall-time regressions beyond a
@@ -19,7 +19,7 @@ would report the cache's wall time, not the kernel's.
 
 import json
 import time
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.experiments.common import DEFAULT_SEED, QUICK, Scale
 from repro.experiments.observed import (
@@ -45,15 +45,27 @@ DEFAULT_TOLERANCE = 0.15
 OVERHEAD_BUDGET = 0.05
 
 
+def timed_run(target: str, scale: Scale, seed: int, *,
+              observers: Sequence[Any] = (), tracer=None):
+    """One freshly booted run of ``target``: (wall seconds, runtime).
+
+    Both arms of an overhead comparison boot fresh, so they do the same
+    work: an observed build always boots, and an unobserved one would
+    otherwise restore the boot image, timing a restore against a boot.
+    """
+    start = time.perf_counter()
+    runtime = run_observed(target, OBSERVED_CONFIGS[target][0], scale,
+                           seed, observers=observers, tracer=tracer,
+                           fresh=True)
+    return time.perf_counter() - start, runtime
+
+
 def _timed_run(target: str, scale: Scale, seed: int,
                sampler_factory: Callable[[], Optional[Sampler]]):
     """One sampled workload run; returns (wall seconds, sampler)."""
     sampler = sampler_factory()
     observers = () if sampler is None else (sampler,)
-    start = time.perf_counter()
-    run_observed(target, OBSERVED_CONFIGS[target][0], scale, seed,
-                 observers=observers)
-    return time.perf_counter() - start, sampler
+    return timed_run(target, scale, seed, observers=observers)[0], sampler
 
 
 def measure_target(target: str, scale: Scale = QUICK,

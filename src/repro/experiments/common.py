@@ -1,7 +1,11 @@
 """Shared experiment plumbing: scales, kernel construction, formatting."""
 
+import copyreg
+import gc
+import io
+import pickle
 from dataclasses import dataclass, fields
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.kernel.config import (
     KernelConfig,
@@ -13,6 +17,7 @@ from repro.kernel.config import (
 from repro.kernel.kernel import Kernel
 from repro.android.layout import LayoutMode
 from repro.android.zygote import AndroidRuntime, boot_android
+from repro.policy import is_builtin_policy
 
 #: The kernel configurations the paper evaluates, by short name.
 CONFIG_FACTORIES = {
@@ -83,6 +88,58 @@ def params_with_policy(params: Dict[str, Any],
     return params
 
 
+#: The boot image: ``(key, pickled runtime)`` for the last runtime
+#: :func:`build_runtime` booted for the image, or None.
+#: One slot (~0.9 MB): a second saves no boot in ``satr table4`` or in
+#: a served cold ``fork`` then ``ipc`` (DESIGN.md §17).
+_boot_image: Optional[Tuple[tuple, bytes]] = None
+
+#: Per class: is an instance's state exactly its ``__dict__``?
+_plain_classes: Dict[type, bool] = {}
+
+
+def _is_plain(cls: type) -> bool:
+    """A ``repro`` class with default pickling and no ``__slots__``."""
+    plain = _plain_classes.get(cls)
+    if plain is None:
+        plain = _plain_classes[cls] = (
+            all(base is object or base.__module__.startswith("repro.")
+                for base in cls.__mro__)
+            and not hasattr(cls, "__slots__")
+            and cls.__reduce_ex__ is object.__reduce_ex__
+            and cls.__reduce__ is object.__reduce__
+            and getattr(cls, "__getstate__", None)
+            is getattr(object, "__getstate__", None)
+            and not hasattr(cls, "__setstate__"))
+    return plain
+
+
+def _set_attributes(obj: Any, state: Dict[str, Any]) -> None:
+    """The state setter of :class:`_ImagePickler`'s reductions."""
+    for name, value in state.items():
+        object.__setattr__(obj, name, value)
+
+
+class _ImagePickler(pickle.Pickler):
+    """Pickles a runtime so that a restore sets attributes one by one.
+
+    The default restore writes each instance's ``__dict__`` directly,
+    and so does the default pickling of the original: either way
+    CPython 3.11 moves the attributes out of the instance's compact
+    inline storage into a dict, and attribute access on the hot path
+    gets slower (the ``steady`` workload ran 15-20% slower on such a
+    runtime).  Setting the attributes one by one on a fresh instance
+    keeps the compact storage.
+    """
+
+    def reducer_override(self, obj):
+        cls = type(obj)
+        if not _is_plain(cls):
+            return NotImplemented
+        return (copyreg.__newobj__, (cls,), obj.__dict__, None, None,
+                _set_attributes)
+
+
 def build_runtime(
     config_name: str,
     mode: LayoutMode = LayoutMode.ORIGINAL,
@@ -91,19 +148,36 @@ def build_runtime(
     tracer=None,
     observers: Sequence = (),
     policy: str = "baseline",
+    fresh: bool = False,
 ) -> AndroidRuntime:
     """A booted Android runtime under one kernel configuration.
+
+    Boot is deterministic in the kernel config, the layout ``mode`` and
+    the ``seed``, and the fork policy is read only at fork, so runtimes
+    booted under ``stock``, ``copy-pte`` and ``shared-ptp`` are the same
+    state.  The last boot is therefore kept as a boot image: its
+    pickled bytes, keyed by the config without ``fork_policy``, the
+    mode and the seed.  A call whose key does not match boots and
+    replaces the image; the call gets a private copy restored from the
+    image, under its own fork policy.  The calls named below boot
+    fresh instead.
 
     ``tracer`` (a :class:`repro.trace.Tracer`) and ``observers`` (such
     as a :class:`repro.check.InvariantChecker` or a
     :class:`repro.metrics.Sampler`) are attached *before* boot, so they
     cover the kernel's whole lifetime: trace counts can be compared
     against the global counters, boot runs under the invariant sweeps,
-    and a metrics series starts at boot.  ``policy`` names a
+    and a metrics series starts at boot.  Such a call always boots
+    fresh and neither reads nor replaces the image.  ``policy`` names a
     :mod:`repro.policy` translation policy — unlike those runtime hooks
     it becomes a config field (it changes semantics) and therefore
-    enters cache digests.
+    enters cache digests and the image key.  A policy registered at
+    runtime (:func:`repro.policy.register_policy`) may not pickle and
+    may be replaced under its name, so it boots fresh too, as does a
+    call with ``fresh=True`` (timing comparisons whose arms must do the
+    same work).
     """
+    global _boot_image
     try:
         config: KernelConfig = CONFIG_FACTORIES[config_name]()
     except KeyError:
@@ -112,8 +186,27 @@ def build_runtime(
             f"{sorted(CONFIG_FACTORIES)}"
         ) from None
     config = config.with_(asid_enabled=asid_enabled, policy=policy)
-    kernel = Kernel(config=config, tracer=tracer, observers=observers)
-    return boot_android(kernel, mode=mode, seed=seed)
+    if (fresh or tracer is not None or observers
+            or not is_builtin_policy(config.policy)):
+        kernel = Kernel(config=config, tracer=tracer, observers=observers)
+        return boot_android(kernel, mode=mode, seed=seed)
+    key = (config.with_(fork_policy=None), mode, seed)
+    image = _boot_image
+    if image is None or image[0] != key:
+        booted = boot_android(Kernel(config=config), mode=mode, seed=seed)
+        buffer = io.BytesIO()
+        _ImagePickler(buffer, pickle.HIGHEST_PROTOCOL).dump(booted)
+        image = _boot_image = (key, buffer.getvalue())
+        # Pickling moved the booted runtime's attributes into dicts, so
+        # the caller gets a restored copy too; free the original (a
+        # cyclic graph) before the copy is allocated.
+        del booted
+        gc.collect()
+    runtime: AndroidRuntime = pickle.loads(image[1])
+    # The kernel, its TlbSharePolicy and its PageTableManager share one
+    # config object, so this one assignment reaches all three.
+    runtime.kernel.config.fork_policy = config.fork_policy
+    return runtime
 
 
 # ---------------------------------------------------------------------------

@@ -131,15 +131,18 @@ def run_observed(target: str, config: str, scale: Scale,
                  seed: int = DEFAULT_SEED, *,
                  observers: Sequence[Any] = (), tracer=None,
                  policy: str = "baseline",
-                 snap: Snap = _no_snap) -> AndroidRuntime:
+                 snap: Snap = _no_snap,
+                 fresh: bool = False) -> AndroidRuntime:
     """Boot ``config`` with ``tracer`` and ``observers`` attached, drive
     ``target``'s workload, then finalize every observer.
 
     The hooks are attached before boot, so they see the kernel's whole
-    lifetime.  Returns the runtime for payloads that read its state.
+    lifetime.  ``fresh`` is :func:`build_runtime`'s.  Returns the
+    runtime for payloads that read its state.
     """
     runtime = build_runtime(config, seed=seed, tracer=tracer,
-                            observers=observers, policy=policy)
+                            observers=observers, policy=policy,
+                            fresh=fresh)
     WORKLOADS[target](runtime, scale, snap)
     for observer in observers:
         observer.finalize(runtime.kernel)

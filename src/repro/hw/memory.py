@@ -9,7 +9,6 @@ Section 3.1.1).
 """
 
 import enum
-import itertools
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
@@ -26,17 +25,34 @@ class FrameKind(enum.Enum):
     KERNEL = "kernel"  # Kernel text/data.
 
 
-@dataclass
 class Frame:
-    """Metadata for one 4KB physical frame."""
+    """Metadata for one 4KB physical frame.
 
-    pfn: int
-    kind: FrameKind
-    #: Number of address spaces mapping this frame.  For PTP frames this
-    #: is the sharer count used by the COW page-table-sharing protocol.
-    mapcount: int = 0
-    #: Identity of the backing file page, for page-cache frames.
-    file_key: Optional[tuple] = None
+    A plain ``__slots__`` class rather than a dataclass: a runtime
+    holds ~15,000 frames, and a slotted frame is smaller and pickles as
+    one tuple into the boot image (DESIGN.md §17).  Frames compare by
+    identity, as they always have in use: a PFN is never reused.
+    """
+
+    __slots__ = ("pfn", "kind", "mapcount", "file_key")
+
+    def __init__(self, pfn: int, kind: FrameKind, mapcount: int = 0,
+                 file_key: Optional[tuple] = None) -> None:
+        self.pfn = pfn
+        self.kind = kind
+        #: Number of address spaces mapping this frame.  For PTP frames
+        #: this is the sharer count used by the COW page-table-sharing
+        #: protocol.
+        self.mapcount = mapcount
+        #: Identity of the backing file page, for page-cache frames.
+        self.file_key = file_key
+
+    def __reduce__(self):
+        return Frame, (self.pfn, self.kind, self.mapcount, self.file_key)
+
+    def __repr__(self) -> str:
+        return (f"Frame(pfn={self.pfn!r}, kind={self.kind!r}, "
+                f"mapcount={self.mapcount!r}, file_key={self.file_key!r})")
 
     @property
     def paddr(self) -> int:
@@ -84,7 +100,9 @@ class PhysicalMemory:
     def __init__(self, total_frames: int = 1 << 20) -> None:
         # Default pool: 4GB worth of frames, far beyond any scenario here.
         self.total_frames = total_frames
-        self._next_pfn = itertools.count(1)  # PFN 0 reserved as "null".
+        #: The next fresh PFN (PFN 0 is reserved as "null").  A plain
+        #: int: ``itertools.count`` stops pickling in Python 3.14.
+        self._next_pfn = 1
         self._frames: Dict[int, Frame] = {}
         self.stats = MemoryStats()
 
@@ -94,7 +112,8 @@ class PhysicalMemory:
             raise OutOfMemoryError(
                 f"physical memory exhausted ({self.total_frames} frames)"
             )
-        pfn = next(self._next_pfn)
+        pfn = self._next_pfn
+        self._next_pfn += 1
         frame = Frame(pfn=pfn, kind=kind, file_key=file_key)
         self._frames[pfn] = frame
         self.stats.allocated += 1

@@ -8,7 +8,6 @@ trace execution.  Experiments instantiate one kernel per configuration
 workloads against each.
 """
 
-import itertools
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.common.constants import NUM_ASIDS
@@ -98,8 +97,11 @@ class Kernel:
         self.engine = ExecutionEngine(self)
 
         self.tasks: Dict[int, Task] = {}
-        self._next_pid = itertools.count(1)
-        self._next_asid = itertools.count(1)
+        #: The next fresh pid and ASID.  Plain ints, not
+        #: ``itertools.count``: a booted kernel is pickled as a boot
+        #: image, and counters stop pickling in Python 3.14.
+        self._next_pid = 1
+        self._next_asid = 1
         #: ASIDs released by exited tasks, safe to reuse because exit
         #: flushes the task's TLB entries on every core.
         self._free_asids: List[int] = []
@@ -110,11 +112,13 @@ class Kernel:
 
     def allocate_task(self, name: str, parent: Optional[Task] = None) -> Task:
         """Create a task with a fresh, empty address space."""
-        pid = next(self._next_pid)
+        pid = self._next_pid
+        self._next_pid += 1
         if self._free_asids:
             asid = self._free_asids.pop()
         else:
-            asid = next(self._next_asid)
+            asid = self._next_asid
+            self._next_asid += 1
         if asid >= NUM_ASIDS:
             # More than 255 *live* address spaces: real kernels roll the
             # ASID generation over with a full flush; scenarios here

@@ -8,7 +8,6 @@ shared frames were not shared, and this module is where that asymmetry
 becomes visible in the model.
 """
 
-import itertools
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
@@ -37,15 +36,15 @@ class PageCache:
     def __init__(self, memory: PhysicalMemory) -> None:
         self._memory = memory
         self._frames: Dict[Tuple[int, int], Frame] = {}
-        self._file_ids = itertools.count(1)
+        self._next_file_id = 1
         self.fills = 0
         self.hits = 0
 
     def create_file(self, name: str, size_pages: int) -> FileObject:
         """Register a new mappable file."""
-        return FileObject(
-            file_id=next(self._file_ids), name=name, size_pages=size_pages
-        )
+        file_id = self._next_file_id
+        self._next_file_id += 1
+        return FileObject(file_id=file_id, name=name, size_pages=size_pages)
 
     def get_page(self, file: FileObject, page_index: int) -> Tuple[Frame, bool]:
         """Return ``(frame, was_cold)`` for one file page.

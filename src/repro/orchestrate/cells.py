@@ -24,6 +24,7 @@ Design rules that make this work:
 
 import dataclasses
 import enum
+import gc
 import hashlib
 import importlib
 import json
@@ -151,6 +152,15 @@ def execute_cell(cell_dict: Dict[str, Any]) -> Any:
 
     Module-level (and driven purely by a plain dict) so spawn-started
     pool workers can execute it after a fresh import.
+
+    A runtime is a cyclic object graph, so it outlives its cell until a
+    full collection, which runs after every cell.  A boot's allocation
+    churn triggers one on its own, but a runtime restored from the boot
+    image (``build_runtime``) allocates in one go: without the explicit
+    collection the previous cell's runtime would still be resident
+    alongside it.
     """
     fn = resolve_cell_fn(cell_dict["fn"])
-    return canonicalize(fn(cell_dict["params"]))
+    payload = canonicalize(fn(cell_dict["params"]))
+    gc.collect()
+    return payload

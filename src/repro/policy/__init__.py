@@ -9,6 +9,7 @@ from repro.policy.base import (
     NULL_POLICY,
     BaselinePolicy,
     TranslationPolicy,
+    is_builtin_policy,
     make_policy,
     policy_class,
     policy_names,
@@ -20,6 +21,7 @@ __all__ = [
     "NULL_POLICY",
     "BaselinePolicy",
     "TranslationPolicy",
+    "is_builtin_policy",
     "make_policy",
     "policy_class",
     "policy_names",

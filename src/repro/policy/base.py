@@ -189,6 +189,11 @@ def policy_class(name: str) -> type:
     return getattr(importlib.import_module(module_name), attr)
 
 
+def is_builtin_policy(name: str) -> bool:
+    """Does ``name`` resolve to a built-in policy (not a registration)?"""
+    return name in _BUILTIN and name not in _EXTRA
+
+
 def make_policy(name: str, kernel) -> TranslationPolicy:
     """Instantiate one policy for ``kernel``."""
     return policy_class(name)(kernel)
