@@ -1,4 +1,9 @@
-"""Protection and mapping flags, mirroring the POSIX/Linux constants."""
+"""Protection and mapping flags, mirroring the POSIX/Linux constants.
+
+The predicates test a member's integer value directly: ``self & flag``
+would go through ``Flag.__and__`` and build a new member, and the
+fault handler and fork ask these questions once per page.
+"""
 
 import enum
 
@@ -14,18 +19,24 @@ class Prot(enum.IntFlag):
     @property
     def readable(self) -> bool:
         """True when PROT_READ is set."""
-        return bool(self & Prot.READ)
+        return bool(self._value_ & _READ)
 
     @property
     def writable(self) -> bool:
         """True when PROT_WRITE is set."""
-        return bool(self & Prot.WRITE)
+        return bool(self._value_ & _WRITE)
 
     @property
     def executable(self) -> bool:
         """True when PROT_EXEC is set."""
-        return bool(self & Prot.EXEC)
+        return bool(self._value_ & _EXEC)
 
+
+# The members' integer values, which the predicates test; read here
+# once, so a predicate does no enum-class lookup.
+_READ = Prot.READ.value
+_WRITE = Prot.WRITE.value
+_EXEC = Prot.EXEC.value
 
 #: Conventional shorthands used throughout the Android layer.
 PROT_RX = Prot.READ | Prot.EXEC
@@ -45,14 +56,26 @@ class MapFlags(enum.IntFlag):
     @property
     def is_private(self) -> bool:
         """True for MAP_PRIVATE mappings."""
-        return bool(self & MapFlags.PRIVATE)
+        return bool(self._value_ & _PRIVATE)
 
     @property
     def is_shared(self) -> bool:
         """True for MAP_SHARED mappings."""
-        return bool(self & MapFlags.SHARED)
+        return bool(self._value_ & _SHARED)
 
     @property
     def is_anonymous(self) -> bool:
         """True for MAP_ANONYMOUS mappings."""
-        return bool(self & MapFlags.ANONYMOUS)
+        return bool(self._value_ & _ANONYMOUS)
+
+    @property
+    def is_growsdown(self) -> bool:
+        """True for MAP_GROWSDOWN (stack) mappings."""
+        return bool(self._value_ & _GROWSDOWN)
+
+
+# As for Prot above.
+_PRIVATE = MapFlags.PRIVATE.value
+_SHARED = MapFlags.SHARED.value
+_ANONYMOUS = MapFlags.ANONYMOUS.value
+_GROWSDOWN = MapFlags.GROWSDOWN.value

@@ -30,9 +30,15 @@ from repro.common.rng import DeterministicRng
 from repro.hw.memory import FrameKind
 from repro.android.binder import BinderBenchmark, BinderConfig
 from repro.android.zygote import boot_android
-from repro.kernel.config import shared_ptp_config, shared_ptp_tlb_config, stock_config
+from repro.kernel.config import shared_ptp_config, shared_ptp_tlb_config
 from repro.kernel.kernel import Kernel
-from repro.experiments.common import DEFAULT, DEFAULT_SEED, Scale, format_table
+from repro.experiments.common import (
+    DEFAULT,
+    DEFAULT_SEED,
+    Scale,
+    build_runtime,
+    format_table,
+)
 from repro.workloads.profiles import APP_PROFILES
 from repro.workloads.session import launch_app
 
@@ -368,10 +374,9 @@ def cache_pollution_experiment(processes: int = 4,
     from repro.common.events import ifetch
 
     measurements = {}
-    for label, config in (("stock", stock_config()),
-                          ("shared", shared_ptp_config())):
-        kernel = Kernel(config=config)
-        runtime = boot_android(kernel, seed=seed)
+    for label, config_name in (("stock", "stock"), ("shared", "shared-ptp")):
+        runtime = build_runtime(config_name, seed=seed)
+        kernel = runtime.kernel
         code_vma = runtime.mapped["libwebviewchromium.so"].code_vma
         pages = [code_vma.start + i * 4096 for i in range(code_pages)]
         tasks = []
@@ -438,9 +443,9 @@ def scalability_sweep(process_counts: List[int] = None,
     points = []
     for count in process_counts:
         frames = {}
-        for label, config in (("stock", stock_config()),
-                              ("shared", shared_ptp_config())):
-            runtime = boot_android(Kernel(config=config), seed=seed)
+        for label, config_name in (("stock", "stock"),
+                                   ("shared", "shared-ptp")):
+            runtime = build_runtime(config_name, seed=seed)
             for index in range(count):
                 runtime.fork_app(f"app-{index}")
             frames[label] = runtime.kernel.memory.live_frames(FrameKind.PTP)

@@ -24,6 +24,10 @@ class FrameKind(enum.Enum):
     PTP = "ptp"  # A page-table page.
     KERNEL = "kernel"  # Kernel text/data.
 
+    # Members are singletons, so identity hashing is exact; it keeps the
+    # per-allocation ``by_kind`` update in C (Enum.__hash__ is Python).
+    __hash__ = object.__hash__
+
 
 class Frame:
     """Metadata for one 4KB physical frame.

@@ -25,7 +25,6 @@ ARM; they occupy main-TLB slots like any other entry.
 """
 
 import enum
-from dataclasses import dataclass
 from typing import Optional
 
 from repro.common.events import AccessType
@@ -58,20 +57,39 @@ class FaultKind(enum.Enum):
     DOMAIN = "domain"  # DACR says no access: shared-TLB confinement.
 
 
-@dataclass
-class MmuResult:
-    """Outcome of one translation attempt."""
+# Enum members are looked up on their class at Python speed; the hot
+# path compares against these module-level references instead.
+_IFETCH = AccessType.IFETCH
+_STORE = AccessType.STORE
+_NO_ACCESS = DomainAccess.NO_ACCESS
+_CLIENT = DomainAccess.CLIENT
 
-    vaddr: int
-    access: AccessType
-    fault: Optional[FaultKind] = None
-    entry: Optional[TlbEntry] = None
-    micro_hit: bool = False
-    main_hit: bool = False
-    walked: bool = False
-    #: Stall cycles attributable to translation (micro-miss penalty,
-    #: walk base cost, and the walk's PTE reads through the caches).
-    translation_stall: int = 0
+
+class MmuResult:
+    """Outcome of one translation attempt.
+
+    One is built per translation, so it is a plain ``__slots__`` class
+    rather than a dataclass.  ``translation_stall`` holds the stall
+    cycles attributable to translation: the micro-miss penalty, the walk
+    base cost, and the walk's PTE reads through the caches.
+    """
+
+    __slots__ = ("vaddr", "access", "fault", "entry", "micro_hit",
+                 "main_hit", "walked", "translation_stall")
+
+    def __init__(self, vaddr: int, access: AccessType,
+                 fault: Optional[FaultKind] = None,
+                 entry: Optional[TlbEntry] = None, micro_hit: bool = False,
+                 main_hit: bool = False, walked: bool = False,
+                 translation_stall: int = 0) -> None:
+        self.vaddr = vaddr
+        self.access = access
+        self.fault = fault
+        self.entry = entry
+        self.micro_hit = micro_hit
+        self.main_hit = main_hit
+        self.walked = walked
+        self.translation_stall = translation_stall
 
     @property
     def ok(self) -> bool:
@@ -107,9 +125,9 @@ class Mmu:
 
     def _translate_user(self, core, task, vaddr: int,
                         access: AccessType) -> MmuResult:
-        result = MmuResult(vaddr=vaddr, access=access)
+        result = MmuResult(vaddr, access)
         vpn = vaddr >> PAGE_SHIFT
-        micro = core.micro_itlb if access is AccessType.IFETCH else core.micro_dtlb
+        micro = core.micro_itlb if access is _IFETCH else core.micro_dtlb
 
         entry = micro.lookup(vpn)
         if entry is not None:
@@ -163,52 +181,50 @@ class Mmu:
         slot = tables.slot(slot_index)
         if slot is None or slot.ptp is None:
             return None, stall
+        ptp = slot.ptp
         # Level-2 PTE read.  With shared PTPs this physical address is
         # identical across all sharers; with private tables it is not.
         index = pte_index(vaddr)
-        pte_paddr = slot.ptp.pte_paddr(index)
+        pte_paddr = ptp.pte_paddr(index)
         policy = self.policy
         if policy.active:
             # e.g. replicated-pt redirects the read to a node-local
             # replica of the PTE, changing which cache line it touches.
             pte_paddr = policy.pte_walk_paddr(
-                core, task, slot.ptp, index, pte_paddr)
+                core, task, ptp, index, pte_paddr)
         stall += core.caches.walk_read(pte_paddr)
-        pte = slot.ptp.get(index)
-        if not Pte.is_valid(pte):
+        # The walker decodes the PTE word's bits itself, as hardware
+        # does, rather than through the Pte accessors.
+        pte = ptp.hw[index]
+        if not pte & Pte.VALID:
             return None, stall
         # The walk sets the referenced bit (Linux/ARM emulates this in
         # the shadow table; we fold it into the walk).
-        slot.ptp.mark_young(index)
+        ptp.mark_young(index)
         vpn = vaddr >> PAGE_SHIFT
         pfn = Pte.pfn(pte)
-        large = bool(pte & Pte.LARGE)
-        if large:
+        if pte & Pte.LARGE:
             # A 64KB entry is indexed by its base; the sixteen frames
             # are physically contiguous, so the base PFN is derived
             # from the accessed page's PFN.
             pfn -= vpn & 0xF
             vpn &= ~0xF
-        entry = TlbEntry(
-            vpn=vpn,
-            asid=task.asid,
-            pfn=pfn,
-            writable=Pte.is_writable(pte),
-            global_=Pte.is_global(pte),
-            domain=slot.domain,
-            span_pages=16 if large else 1,
-        )
+            span_pages = 16
+        else:
+            span_pages = 1
+        entry = TlbEntry(vpn, task.asid, pfn, bool(pte & Pte.WRITABLE),
+                         bool(pte & Pte.GLOBAL), slot.domain, span_pages)
         return entry, stall
 
     @staticmethod
     def _check_entry(dacr: Dacr, entry: TlbEntry, access: AccessType,
                      result: MmuResult) -> MmuResult:
         grant = dacr.access(entry.domain)
-        if grant == DomainAccess.NO_ACCESS:
+        if grant == _NO_ACCESS:
             result.fault = FaultKind.DOMAIN
             return result
-        if grant == DomainAccess.CLIENT:
-            if access is AccessType.STORE and not entry.writable:
+        if grant == _CLIENT:
+            if access is _STORE and not entry.writable:
                 result.fault = FaultKind.PERMISSION
                 return result
         return result
@@ -217,9 +233,9 @@ class Mmu:
 
     def _translate_kernel(self, core, task, vaddr: int,
                           access: AccessType) -> MmuResult:
-        result = MmuResult(vaddr=vaddr, access=access)
+        result = MmuResult(vaddr, access)
         vpn = vaddr >> PAGE_SHIFT
-        micro = core.micro_itlb if access is AccessType.IFETCH else core.micro_dtlb
+        micro = core.micro_itlb if access is _IFETCH else core.micro_dtlb
 
         entry = micro.lookup(vpn)
         if entry is not None:

@@ -16,7 +16,7 @@ level-2 entries inherit.
 """
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Container, Dict, Iterator, List, Optional, Tuple
 
 from repro.common.constants import (
     DOMAIN_USER,
@@ -136,22 +136,23 @@ class PageTablePage:
         return self.frame.mapcount
 
     def get(self, index: int) -> int:
-        """Look up one configuration's measurement."""
+        """The hardware PTE at one index (0 when invalid)."""
         return self.hw[index]
 
     def set(self, index: int, pte: int) -> None:
         """Install a valid PTE at one index."""
-        if not Pte.is_valid(pte):
+        if not pte & Pte.VALID:
             raise SimulationError("use clear() to invalidate a PTE")
-        if not Pte.is_valid(self.hw[index]):
+        hw = self.hw
+        if not hw[index] & Pte.VALID:
             self.valid_count += 1
-        self.hw[index] = pte
+        hw[index] = pte
         self.shadow[index] = Pte.SHADOW_YOUNG
 
     def clear(self, index: int) -> int:
         """Invalidate one PTE; returns the old value."""
         old = self.hw[index]
-        if Pte.is_valid(old):
+        if old & Pte.VALID:
             self.valid_count -= 1
         self.hw[index] = 0
         self.shadow[index] = 0
@@ -303,6 +304,36 @@ class AddressSpaceTables:
         if not Pte.is_valid(pte):
             return None
         return slot.ptp, index, pte
+
+    def walk_valid(
+        self, first_vpn: int, end_vpn: int,
+        slots: Optional[Container[int]] = None,
+    ) -> Iterator[Tuple[int, PageTablePage, int]]:
+        """Yield ``(slot_index, ptp, index)`` for each valid PTE mapping a
+        page in ``[first_vpn, end_vpn)``, in ascending page order.
+
+        Like Linux's ``copy_page_range``, the walk skips the level-1
+        slots that hold no PTP and scans only the PTE lists of the rest,
+        so its cost follows the populated tables, not the range.
+        ``slots`` limits the walk to those level-1 slot indices.  Each
+        entry is read as the walk reaches it, so a caller may rewrite or
+        clear the entry it was just handed.
+        """
+        first_slot = first_vpn // PTES_PER_PTP
+        end_slot = -(-end_vpn // PTES_PER_PTP)
+        for slot_index in range(first_slot, end_slot):
+            if slots is not None and slot_index not in slots:
+                continue
+            slot = self._slots.get(slot_index)
+            if slot is None or slot.ptp is None:
+                continue
+            ptp = slot.ptp
+            hw = ptp.hw
+            base = slot_index * PTES_PER_PTP
+            for index in range(max(first_vpn - base, 0),
+                               min(end_vpn - base, PTES_PER_PTP)):
+                if hw[index] & Pte.VALID:
+                    yield slot_index, ptp, index
 
     def populated_slots(self) -> Iterator[Tuple[int, L1Slot]]:
         """Yield ``(slot_index, slot)`` for populated slots, ascending."""

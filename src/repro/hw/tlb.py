@@ -124,20 +124,23 @@ class MainTlb:
         We probe the entry's home set, which for span > 1 means probing
         by the aligned base VPN as hardware does.
         """
-        for probe_vpn in self._probe_vpns(vpn):
-            tlb_set = self._set_for(probe_vpn)
-            for position, entry in enumerate(tlb_set):
-                if entry.matches(vpn, asid):
-                    tlb_set.insert(0, tlb_set.pop(position))
+        sets = self._sets
+        num_sets = self.num_sets
+        # Small page (exact vpn), 64KB large page base, 1MB section base.
+        for probe_vpn in (vpn, vpn & ~0xF, vpn & ~0xFF):
+            tlb_set = sets[probe_vpn % num_sets]
+            position = 0
+            for entry in tlb_set:
+                # TlbEntry.matches, inline: this runs on every micro miss.
+                if (entry.vpn <= vpn < entry.vpn + entry.span_pages
+                        and (entry.global_ or entry.asid == asid)):
+                    if position:
+                        tlb_set.insert(0, tlb_set.pop(position))
                     self.stats.hits += 1
                     return entry
+                position += 1
         self.stats.misses += 1
         return None
-
-    @staticmethod
-    def _probe_vpns(vpn: int) -> List[int]:
-        # Small page (exact vpn), 64KB large page base, 1MB section base.
-        return [vpn, vpn & ~0xF, vpn & ~0xFF]
 
     def insert(self, entry: TlbEntry) -> Optional[TlbEntry]:
         """Fill an entry, evicting the LRU victim if the set is full."""
@@ -256,8 +259,10 @@ class MicroTlb:
         """Probe for an entry; updates LRU and statistics."""
         entry = self._entries.get(vpn)
         if entry is not None:
-            self._lru.remove(vpn)
-            self._lru.insert(0, vpn)
+            lru = self._lru
+            if lru[0] != vpn:
+                lru.remove(vpn)
+                lru.insert(0, vpn)
             self.stats.hits += 1
             return entry
         self.stats.misses += 1

@@ -31,6 +31,14 @@ from repro.trace import EventType
 INSTRUCTIONS_PER_LINE = CACHE_LINE_SIZE // 4
 
 
+#: Cache lines per 4KB page.
+LINES_PER_PAGE = PAGE_SIZE // CACHE_LINE_SIZE
+
+# A module-level reference: looking the member up on its enum class
+# costs several times more, once per event and per kernel page.
+_IFETCH = AccessType.IFETCH
+
+
 class KernelPath(enum.Enum):
     """Kernel code regions, as (base virtual address, span bytes)."""
 
@@ -42,15 +50,21 @@ class KernelPath(enum.Enum):
     #: I/O-heavy apps (Chrome Privilege, MX Player, WPS) in the kernel.
     IO = (0xC014_0000, 8 * PAGE_SIZE)
 
-    @property
-    def base(self) -> int:
-        """Base virtual address of the path's code region."""
-        return self.value[0]
+    def __init__(self, base: int, span: int) -> None:
+        # The geometry every run of the path reads, computed once.
+        #: Base virtual address of the path's code region.
+        self.base = base
+        #: Size of the path's code region in bytes.
+        self.span = span
+        #: The region's length in cache lines.
+        self.lines = span // CACHE_LINE_SIZE
+        #: Physical address of the region's first line (kernel VA -> PA
+        #: is linear, so the region is one physical line run).
+        self.paddr = Mmu.kernel_paddr(base)
 
-    @property
-    def span(self) -> int:
-        """Size of the path's code region in bytes."""
-        return self.value[1]
+    # Members are singletons, so identity hashing is exact; it keeps the
+    # engine's per-call rotation lookup in C (Enum.__hash__ is Python).
+    __hash__ = object.__hash__
 
 
 class ExecutionEngine:
@@ -91,52 +105,76 @@ class ExecutionEngine:
             entry.pfn + ((event.vaddr >> PAGE_SHIFT) - entry.vpn)
         ) << PAGE_SHIFT
 
-        if event.access is AccessType.IFETCH:
-            self._charge_both(core, task, "instructions", event.count,
-                              kernel=event.kernel)
+        # Cycles go to the task and then to the core.  The stall buckets
+        # are fixed here, so they are charged as attributes rather than
+        # through CycleStats.charge, which looks its bucket up by name.
+        task_stats = task.stats
+        core_stats = core.stats
+        if event.access is _IFETCH:
+            cpi = self._kernel.cost.cycles_per_instruction
+            task_stats.charge_instructions(event.count, cpi,
+                                           kernel=event.kernel)
+            core_stats.charge_instructions(event.count, cpi,
+                                           kernel=event.kernel)
             stall = core.caches.fetch_run(page_paddr, event.lines)
             if stall:
-                self._charge_cycles(core, task, "l1i_stall", stall)
+                task_stats.l1i_stall += stall
+                task_stats.total_cycles += stall
+                core_stats.l1i_stall += stall
+                core_stats.total_cycles += stall
         else:
             # Data bursts: the instructions performing them are counted
             # by the surrounding IFETCH events; only data stalls accrue.
             stall = core.caches.data_run(page_paddr, event.lines)
             if stall:
-                self._charge_cycles(core, task, "l1d_stall", stall)
+                task_stats.l1d_stall += stall
+                task_stats.total_cycles += stall
+                core_stats.l1d_stall += stall
+                core_stats.total_cycles += stall
 
     # ------------------------------------------------------------------
 
     def _translate_resolving_faults(self, core, task: Task,
                                     event: AccessEvent):
-        mmu: Mmu = self._kernel.platform.mmu
+        kernel = self._kernel
+        mmu: Mmu = kernel.platform.mmu
+        vaddr = event.vaddr
+        access = event.access
+        task_stats = task.stats
+        core_stats = core.stats
         for _ in range(self.MAX_FAULT_RETRIES):
-            result = mmu.translate(core, task, event.vaddr, event.access)
-            if result.translation_stall:
-                if result.walked:
-                    bucket = (
-                        "itlb_stall"
-                        if event.access is AccessType.IFETCH
-                        else "dtlb_stall"
-                    )
+            result = mmu.translate(core, task, vaddr, access)
+            stall = result.translation_stall
+            if stall:
+                if not result.walked:
+                    task_stats.micro_tlb_stall += stall
+                    core_stats.micro_tlb_stall += stall
+                elif access is _IFETCH:
+                    task_stats.itlb_stall += stall
+                    core_stats.itlb_stall += stall
                 else:
-                    bucket = "micro_tlb_stall"
-                self._charge_cycles(core, task, bucket,
-                                    result.translation_stall)
-            if result.ok:
+                    task_stats.dtlb_stall += stall
+                    core_stats.dtlb_stall += stall
+                task_stats.total_cycles += stall
+                core_stats.total_cycles += stall
+            fault = result.fault
+            if fault is None:
                 return result.entry
-            tracer = self._kernel.tracer
+            tracer = kernel.tracer
             if tracer.enabled:
                 tracer.emit(EventType.PAGE_FAULT, pid=task.pid,
-                            vaddr=event.vaddr, cause=result.fault.value)
-            outcome = self._kernel.fault_handler.handle(
-                core, task, event.vaddr, event.access, result.fault
-            )
-            self._charge_cycles(core, task, "fault_overhead",
-                                outcome.overhead_cycles)
+                            vaddr=vaddr, cause=fault.value)
+            outcome = kernel.fault_handler.handle(core, task, vaddr, access,
+                                                  fault)
+            overhead = outcome.overhead_cycles
+            task_stats.fault_overhead += overhead
+            task_stats.total_cycles += overhead
+            core_stats.fault_overhead += overhead
+            core_stats.total_cycles += overhead
             self.run_kernel_path(core, task, KernelPath.FAULT,
                                  outcome.kernel_instructions)
         raise SimulationError(
-            f"access at {event.vaddr:#x} still faulting after "
+            f"access at {vaddr:#x} still faulting after "
             f"{self.MAX_FAULT_RETRIES} retries"
         )
 
@@ -147,52 +185,45 @@ class ExecutionEngine:
         """Execute kernel-path instructions through the I-cache/TLB."""
         if instructions <= 0:
             return
-        self._charge_both(core, task, "instructions", instructions,
-                          kernel=True)
-        path_base, path_span = path.value
-        path_lines = path_span // CACHE_LINE_SIZE
+        task_stats = task.stats
+        core_stats = core.stats
+        cpi = self._kernel.cost.cycles_per_instruction
+        task_stats.charge_instructions(instructions, cpi, kernel=True)
+        core_stats.charge_instructions(instructions, cpi, kernel=True)
+        path_lines = path.lines
         lines = min(ceil(instructions / INSTRUCTIONS_PER_LINE), path_lines)
-        start = self._path_rotation[path]
-        self._path_rotation[path] = (start + lines) % path_lines
-        mmu: Mmu = self._kernel.platform.mmu
-        lines_per_page = PAGE_SIZE // CACHE_LINE_SIZE
-        itlb = 0
-        l1i = 0
+        rotation = self._path_rotation
+        start = rotation[path]
+        rotation[path] = (start + lines) % path_lines
         # The rotation may wrap around the path region: at most two
         # contiguous line runs.
-        segments = []
         if start + lines <= path_lines:
-            segments.append((start, lines))
+            runs = ((start, lines),)
         else:
-            segments.append((start, path_lines - start))
-            segments.append((0, lines - (path_lines - start)))
-        for seg_start, seg_len in segments:
-            first_page = seg_start // lines_per_page
-            last_page = (seg_start + seg_len - 1) // lines_per_page
-            for page in range(first_page, last_page + 1):
+            head = path_lines - start
+            runs = ((start, head), (0, lines - head))
+        mmu: Mmu = self._kernel.platform.mmu
+        base = path.base
+        itlb = 0
+        l1i = 0
+        for run_start, run_lines in runs:
+            for page in range(run_start // LINES_PER_PAGE,
+                              (run_start + run_lines - 1) // LINES_PER_PAGE
+                              + 1):
                 # One translation covers every line in the page.
-                vaddr = path_base + page * PAGE_SIZE
-                result = mmu.translate(core, task, vaddr, AccessType.IFETCH)
-                itlb += result.translation_stall
-            # Kernel VA -> PA is linear (pfn = KERNEL_PFN_BASE + vpn),
-            # so the whole segment is one physical line run.
-            seg_vaddr = path_base + seg_start * CACHE_LINE_SIZE
-            l1i += core.caches.fetch_run(mmu.kernel_paddr(seg_vaddr),
-                                         seg_len)
+                itlb += mmu.translate(core, task, base + page * PAGE_SIZE,
+                                      _IFETCH).translation_stall
+            # Kernel VA -> PA is linear, so the whole run is one
+            # physical line run.
+            l1i += core.caches.fetch_run(
+                path.paddr + run_start * CACHE_LINE_SIZE, run_lines)
         if itlb:
-            self._charge_cycles(core, task, "itlb_stall", itlb)
+            task_stats.itlb_stall += itlb
+            task_stats.total_cycles += itlb
+            core_stats.itlb_stall += itlb
+            core_stats.total_cycles += itlb
         if l1i:
-            self._charge_cycles(core, task, "l1i_stall", l1i)
-
-    # ------------------------------------------------------------------
-
-    def _charge_cycles(self, core, task: Task, bucket: str,
-                       cycles: float) -> None:
-        task.stats.charge(bucket, cycles)
-        core.stats.charge(bucket, cycles)
-
-    def _charge_both(self, core, task: Task, field: str, count: int,
-                     kernel: bool) -> None:
-        cpi = self._kernel.cost.cycles_per_instruction
-        task.stats.charge_instructions(count, cpi, kernel=kernel)
-        core.stats.charge_instructions(count, cpi, kernel=kernel)
+            task_stats.l1i_stall += l1i
+            task_stats.total_cycles += l1i
+            core_stats.l1i_stall += l1i
+            core_stats.total_cycles += l1i

@@ -18,14 +18,19 @@ The handler resolves the three MMU fault kinds:
   page tables (Section 3.2.3).
 """
 
-from dataclasses import dataclass
-
 from repro.common.constants import pte_index
 from repro.common.errors import SimulationError
 from repro.hw.memory import FrameKind
 from repro.hw.mmu import AccessType, FaultKind
 from repro.hw.pagetable import Pte
 from repro.trace import EventType
+
+# Enum members are looked up on their class at Python speed; the
+# per-fault tests compare against these module-level references.
+_STORE = AccessType.STORE
+_TRANSLATION = FaultKind.TRANSLATION
+_PERMISSION = FaultKind.PERMISSION
+_DOMAIN = FaultKind.DOMAIN
 
 
 class SegmentationFault(SimulationError):
@@ -36,17 +41,29 @@ class SegmentationFault(SimulationError):
     """
 
 
-@dataclass
 class FaultOutcome:
-    """What handling one fault cost."""
+    """What handling one fault cost.
 
-    kind: FaultKind
-    #: Fixed kernel overhead cycles (trap, VMA lookup, PTE install, ...).
-    overhead_cycles: float = 0.0
-    #: Kernel instructions the handler executed (run through the
-    #: simulated I-cache by the execution engine: this is the kernel
-    #: I-cache pollution that fault elimination removes).
-    kernel_instructions: int = 0
+    ``overhead_cycles`` are the fixed kernel overhead cycles (trap, VMA
+    lookup, PTE install, ...).  ``kernel_instructions`` are the kernel
+    instructions the handler executed, run through the simulated I-cache
+    by the execution engine: this is the kernel I-cache pollution that
+    fault elimination removes.  One is built per fault, so it is a plain
+    ``__slots__`` class rather than a dataclass.
+    """
+
+    __slots__ = ("kind", "overhead_cycles", "kernel_instructions")
+
+    def __init__(self, kind: FaultKind, overhead_cycles: float = 0.0,
+                 kernel_instructions: int = 0) -> None:
+        self.kind = kind
+        self.overhead_cycles = overhead_cycles
+        self.kernel_instructions = kernel_instructions
+
+    def charge(self, cycles: float) -> None:
+        """Accumulate cycles into the outcome (the ``charge`` callback
+        of PTP allocation and unsharing)."""
+        self.overhead_cycles += cycles
 
 
 class FaultHandler:
@@ -60,11 +77,11 @@ class FaultHandler:
     def handle(self, core, task, vaddr: int, access: AccessType,
                kind: FaultKind) -> FaultOutcome:
         """Dispatch one fault to its handler; returns the outcome."""
-        if kind is FaultKind.TRANSLATION:
+        if kind is _TRANSLATION:
             return self._handle_translation(core, task, vaddr, access)
-        if kind is FaultKind.PERMISSION:
+        if kind is _PERMISSION:
             return self._handle_permission(core, task, vaddr, access)
-        if kind is FaultKind.DOMAIN:
+        if kind is _DOMAIN:
             return self._handle_domain(core, task, vaddr)
         raise SimulationError(f"unknown fault kind {kind}")
 
@@ -77,19 +94,16 @@ class FaultHandler:
         kernel = self._kernel
         cost = kernel.cost
         counters = kernel.counter_scope(task)
-        outcome = FaultOutcome(
-            kind=FaultKind.TRANSLATION,
-            overhead_cycles=cost.soft_fault_overhead,
-            kernel_instructions=cost.fault_kernel_instructions,
-        )
-        charge = self._charger(outcome)
+        outcome = FaultOutcome(_TRANSLATION,
+                               cost.soft_fault_overhead,
+                               cost.fault_kernel_instructions)
 
         vma = task.mm.find_vma(vaddr)
         if vma is None:
             raise SegmentationFault(
                 f"pid {task.pid} ({task.name}): no VMA at {vaddr:#x}"
             )
-        if access is AccessType.STORE and not vma.prot.writable:
+        if access is _STORE and not vma.prot.writable:
             raise SegmentationFault(
                 f"pid {task.pid}: write to non-writable region at {vaddr:#x}"
             )
@@ -101,17 +115,19 @@ class FaultHandler:
         # (Section 3.1.2, case 1).  Read/execute faults deliberately
         # populate the *shared* PTP instead.
         if (slot is not None and slot.ptp is not None and slot.need_copy
-                and access is AccessType.STORE):
+                and access is _STORE):
             kernel.ptmgr.unshare_slot(
                 task, slot_index, "write-fault", counters,
-                copy_frame_refs=kernel.take_frame_refs, charge=charge,
+                copy_frame_refs=kernel.take_frame_refs,
+                charge=outcome.charge,
             )
             slot = task.mm.tables.slot(slot_index)
 
         if slot is None or slot.ptp is None:
             kernel.ptmgr.alloc_ptp(
                 task.mm, slot_index, counters,
-                domain=kernel.tlbshare.user_domain_for(task), charge=charge,
+                domain=kernel.tlbshare.user_domain_for(task),
+                charge=outcome.charge,
             )
             slot = task.mm.tables.slot(slot_index)
 
@@ -131,7 +147,7 @@ class FaultHandler:
                                     index, counters, outcome)
         else:
             self._populate_anon_pte(task, vma, access, slot, index, counters)
-        if access is AccessType.STORE:
+        if access is _STORE:
             slot.ptp.mark_dirty(index)
         return outcome
 
@@ -147,7 +163,7 @@ class FaultHandler:
         if cold:
             counters.bump("cold_file_faults")
             outcome.overhead_cycles += kernel.cost.cold_fault_extra
-        if access is AccessType.STORE and vma.flags.is_private:
+        if access is _STORE and vma.flags.is_private:
             # Private write: COW straight away (read the cache page,
             # copy into a fresh anonymous frame).
             if not cold:
@@ -170,7 +186,7 @@ class FaultHandler:
                 tracer.emit(EventType.SOFT_FAULT, pid=task.pid,
                             vaddr=vaddr, cause="warm-file")
         writable = vma.prot.writable and vma.flags.is_shared and (
-            access is AccessType.STORE
+            access is _STORE
         )
         if writable:
             self._assert_private(slot, writable=True)
@@ -228,7 +244,7 @@ class FaultHandler:
                            counters) -> None:
         kernel = self._kernel
         counters.bump("anon_faults")
-        if access is AccessType.STORE:
+        if access is _STORE:
             frame = kernel.memory.allocate(FrameKind.ANON)
             self._assert_private(slot, writable=True)
             kernel.install_pte(slot.ptp, index, frame, writable=True)
@@ -247,14 +263,11 @@ class FaultHandler:
         kernel = self._kernel
         cost = kernel.cost
         counters = kernel.counter_scope(task)
-        outcome = FaultOutcome(
-            kind=FaultKind.PERMISSION,
-            overhead_cycles=cost.soft_fault_overhead,
-            kernel_instructions=cost.fault_kernel_instructions,
-        )
-        charge = self._charger(outcome)
+        outcome = FaultOutcome(_PERMISSION,
+                               cost.soft_fault_overhead,
+                               cost.fault_kernel_instructions)
 
-        if access is not AccessType.STORE:
+        if access is not _STORE:
             raise SimulationError(
                 f"unexpected {access} permission fault at {vaddr:#x}"
             )
@@ -272,7 +285,8 @@ class FaultHandler:
         if slot.need_copy:
             kernel.ptmgr.unshare_slot(
                 task, slot_index, "write-fault", counters,
-                copy_frame_refs=kernel.take_frame_refs, charge=charge,
+                copy_frame_refs=kernel.take_frame_refs,
+                charge=outcome.charge,
             )
             slot = task.mm.tables.slot(slot_index)
 
@@ -343,20 +357,11 @@ class FaultHandler:
         # faulting processor; the retried access misses and walks the
         # process's own page tables (Section 3.2.3).
         core.flush_tlb_va(vaddr >> 12)
-        return FaultOutcome(
-            kind=FaultKind.DOMAIN,
-            overhead_cycles=kernel.cost.domain_fault_overhead,
-            kernel_instructions=kernel.cost.fault_kernel_instructions // 3,
-        )
+        return FaultOutcome(_DOMAIN,
+                            kernel.cost.domain_fault_overhead,
+                            kernel.cost.fault_kernel_instructions // 3)
 
     # ------------------------------------------------------------------
-
-    @staticmethod
-    def _charger(outcome: FaultOutcome):
-        def charge(cycles: float) -> None:
-            """Accumulate cycles into the outcome."""
-            outcome.overhead_cycles += cycles
-        return charge
 
     @staticmethod
     def _assert_private(slot, writable: bool) -> None:

@@ -20,7 +20,7 @@ mechanism rather than a formula.
 from dataclasses import dataclass
 from typing import Optional, Set
 
-from repro.common.constants import ptp_index
+from repro.common.constants import PAGE_SHIFT, PTES_PER_PTP
 from repro.hw.pagetable import Pte
 from repro.kernel.config import ForkPolicy
 from repro.kernel.task import Task
@@ -92,72 +92,97 @@ def _stock_copy(kernel, parent: Task, child: Task, counters, report,
 
     ``restrict_slots`` limits copying to the given level-1 slots (used
     by the shared-PTP policy for its non-shareable fallback slots).
+    Traversal is charged for every page of a walked range, but the host
+    visits only the populated PTPs (:meth:`AddressSpaceTables.walk_valid`).
     """
     cost = kernel.cost
+    tables = parent.mm.tables
     copied_total = 0
     parent_wp_needed = False
+    # The child PTP of the slot being copied: the walk is in address
+    # order, so it changes only when the walk enters a new slot.
+    child_index = child_ptp = None
 
     for vma in parent.mm.vmas():
-        if vma.flags.is_anonymous:
-            pages = vma.page_range()
-        elif include_preloaded_code and vma.zygote_preloaded and (
-                vma.prot.executable):
-            # The copy-PTE variant traverses zygote-preloaded shared
-            # code, copying whatever the parent has populated.
-            pages = vma.page_range()
+        if vma.flags.is_anonymous or (
+                include_preloaded_code and vma.zygote_preloaded
+                and vma.prot.executable):
+            # Anonymous memory; under copy-PTE also the zygote-preloaded
+            # shared code, copying whatever the parent has populated.
+            vpns = vma.page_range()
+            pages = _pages_in(vpns.start, vpns.stop, restrict_slots)
+            entries = tables.walk_valid(vpns.start, vpns.stop,
+                                        restrict_slots)
         elif vma.anon_pages:
             # File-backed mapping holding COW-ed anonymous pages: only
             # those PTEs cannot be refilled by faults.
-            pages = sorted(vma.anon_pages)
+            vpns = sorted(vma.anon_pages)
+            if restrict_slots is not None:
+                vpns = [vpn for vpn in vpns
+                        if vpn // PTES_PER_PTP in restrict_slots]
+            pages = len(vpns)
+            entries = _lookup_each(tables, vpns)
         else:
             # Pure file-backed mapping: skipped, faults refill it.
             continue
 
-        if restrict_slots is not None:
-            # Shared-PTP fallback: only the non-shareable slots are
-            # walked at all; shared ranges are never traversed.
-            pages = [
-                vpn for vpn in pages
-                if ptp_index(vpn << 12) in restrict_slots
-            ]
-        else:
-            pages = list(pages)
-        report.cycles += len(pages) * cost.fork_traverse_per_page
-        for vpn in pages:
-            vaddr = vpn << 12
-            slot_index = ptp_index(vaddr)
-            looked_up = parent.mm.tables.lookup_pte(vaddr)
-            if looked_up is None:
-                continue
-            parent_ptp, index, pte = looked_up
-
-            needs_cow = vma.is_private_writable and Pte.is_writable(pte)
-            if needs_cow:
-                parent_ptp.set(index, Pte.write_protect(pte))
+        # Under shared-PTP, only the non-shareable slots are walked at
+        # all; shared ranges are never traversed.
+        report.cycles += pages * cost.fork_traverse_per_page
+        private_writable = vma.is_private_writable
+        for slot_index, parent_ptp, index in entries:
+            pte = parent_ptp.hw[index]
+            if private_writable and pte & Pte.WRITABLE:
                 pte = Pte.write_protect(pte)
+                parent_ptp.set(index, pte)
                 parent_wp_needed = True
 
-            child_slot = child.mm.tables.slot(slot_index)
-            if child_slot is None or child_slot.ptp is None:
-                kernel.ptmgr.alloc_ptp(
-                    child.mm, slot_index, counters,
-                    domain=kernel.tlbshare.user_domain_for(child),
-                    charge=lambda cycles: _charge_report(report, cycles),
-                )
+            if slot_index != child_index:
+                child_index = slot_index
                 child_slot = child.mm.tables.slot(slot_index)
-            child_slot.ptp.set(index, pte)
-            child_slot.ptp.shadow[index] = parent_ptp.shadow[index]
+                if child_slot is not None and child_slot.ptp is not None:
+                    child_ptp = child_slot.ptp
+                else:
+                    child_ptp = kernel.ptmgr.alloc_ptp(
+                        child.mm, slot_index, counters,
+                        domain=kernel.tlbshare.user_domain_for(child),
+                        charge=lambda cycles: _charge_report(report, cycles),
+                    )
+            child_ptp.set(index, pte)
+            child_ptp.shadow[index] = parent_ptp.shadow[index]
             kernel.memory.frame(Pte.pfn(pte)).get()
-            counters.bump("ptes_copied_fork")
             report.cycles += cost.pte_copy
             copied_total += 1
 
+    counters.bump("ptes_copied_fork", copied_total)
     if parent_wp_needed:
         # Parent TLBs may cache the old writable entries.
         kernel.flush_task_tlbs(parent)
         counters.bump("tlb_shootdowns")
         report.cycles += cost.tlb_flush_cost
     return copied_total
+
+
+def _pages_in(first_vpn: int, end_vpn: int,
+              slots: Optional[Set[int]]) -> int:
+    """Pages of ``[first_vpn, end_vpn)`` inside ``slots`` (all if None)."""
+    if slots is None:
+        return end_vpn - first_vpn
+    pages = 0
+    for slot_index in slots:
+        base = slot_index * PTES_PER_PTP
+        pages += max(0, min(end_vpn, base + PTES_PER_PTP)
+                     - max(first_vpn, base))
+    return pages
+
+
+def _lookup_each(tables, vpns):
+    """``(slot_index, ptp, index)`` of each valid PTE among ``vpns``."""
+    for vpn in vpns:
+        looked_up = tables.lookup_pte(vpn << PAGE_SHIFT)
+        if looked_up is not None:
+            parent_ptp, index, _ = looked_up
+            yield vpn // PTES_PER_PTP, parent_ptp, index
 
 
 def _charge_report(report: ForkReport, cycles: float) -> None:

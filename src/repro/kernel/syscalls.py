@@ -82,8 +82,12 @@ class SyscallInterface:
         removed = task.mm.carve_range(start, end)
         cleared = 0
         for vma in removed:
-            for vpn in vma.page_range():
-                cleared += self._clear_pte(task, vpn << 12)
+            pages = vma.page_range()
+            for _, ptp, index in task.mm.tables.walk_valid(pages.start,
+                                                           pages.stop):
+                pte = ptp.clear(index)
+                kernel.put_frame(kernel.memory.frame(Pte.pfn(pte)))
+                cleared += 1
         if cleared:
             kernel.flush_task_tlbs(task)
             kernel.counter_scope(task).bump("tlb_shootdowns")
@@ -130,16 +134,6 @@ class SyscallInterface:
             charge=lambda cycles: task.stats.charge("syscall_cycles", cycles),
         )
 
-    def _clear_pte(self, task: Task, vaddr: int) -> int:
-        kernel = self._kernel
-        looked_up = task.mm.tables.lookup_pte(vaddr)
-        if looked_up is None:
-            return 0
-        ptp, index, pte = looked_up
-        ptp.clear(index)
-        kernel.put_frame(kernel.memory.frame(Pte.pfn(pte)))
-        return 1
-
     def _isolate(self, task: Task, vma: Vma, start: int, end: int) -> Vma:
         """Split ``vma`` so the part inside ``[start, end)`` is its own
         VMA; returns that inner VMA."""
@@ -154,10 +148,9 @@ class SyscallInterface:
         return vma
 
     def _write_protect_range(self, task: Task, vma: Vma) -> None:
-        for vpn in vma.page_range():
-            looked_up = task.mm.tables.lookup_pte(vpn << 12)
-            if looked_up is None:
-                continue
-            ptp, index, pte = looked_up
+        pages = vma.page_range()
+        for _, ptp, index in task.mm.tables.walk_valid(pages.start,
+                                                       pages.stop):
+            pte = ptp.get(index)
             if Pte.is_writable(pte):
                 ptp.set(index, Pte.write_protect(pte))

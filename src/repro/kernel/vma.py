@@ -100,7 +100,7 @@ class Vma:
     @property
     def is_stack(self) -> bool:
         """True for GROWSDOWN (stack) regions."""
-        return bool(self.flags & MapFlags.GROWSDOWN)
+        return self.flags.is_growsdown
 
     def file_page_of(self, vaddr: int) -> int:
         """File page index backing ``vaddr``."""

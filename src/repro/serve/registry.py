@@ -88,6 +88,9 @@ class RunRegistry:
         self._runs: Dict[str, RunRecord] = {}
         self._order: List[str] = []
         self._inflight_by_key: Dict[str, RunRecord] = {}
+        #: Records per state, kept in step with every transition so
+        #: ``count_state`` never scans the history.
+        self._state_counts = {state: 0 for state in RUN_STATES}
         self._counter = 0
 
     # -- submission / coalescing ---------------------------------------
@@ -117,6 +120,7 @@ class RunRegistry:
             self._runs[record.id] = record
             self._order.append(record.id)
             self._inflight_by_key[key] = record
+            self._state_counts[record.state] += 1
             self._append_event(record, {"type": "state", "state": "queued"})
             return record, True
 
@@ -124,14 +128,14 @@ class RunRegistry:
 
     def mark_running(self, record: RunRecord) -> None:
         with self._cond:
-            record.state = "running"
+            self._move(record, "running")
             record.started_s = self._clock()
             self._append_event(record, {"type": "state", "state": "running"})
 
     def finish(self, record: RunRecord, report: str,
                hits: int, misses: int) -> None:
         with self._cond:
-            record.state = "done"
+            self._move(record, "done")
             record.finished_s = self._clock()
             record.report = report
             record.hits = hits
@@ -145,7 +149,7 @@ class RunRegistry:
 
     def fail(self, record: RunRecord, error: str) -> None:
         with self._cond:
-            record.state = "failed"
+            self._move(record, "failed")
             record.finished_s = self._clock()
             record.error = error
             self._inflight_by_key.pop(record.key, None)
@@ -161,6 +165,12 @@ class RunRegistry:
                 "elapsed_s": round(elapsed, 4),
                 "position": position, "total": total,
             })
+
+    def _move(self, record: RunRecord, state: str) -> None:
+        # Caller holds the condition.
+        self._state_counts[record.state] -= 1
+        self._state_counts[state] += 1
+        record.state = state
 
     def _append_event(self, record: RunRecord,
                       event: Dict[str, Any]) -> None:
@@ -182,8 +192,7 @@ class RunRegistry:
 
     def count_state(self, state: str) -> int:
         with self._cond:
-            return sum(1 for record in self._runs.values()
-                       if record.state == state)
+            return self._state_counts.get(state, 0)
 
     def wait_finished(self, record: RunRecord,
                       timeout: Optional[float] = None) -> bool:

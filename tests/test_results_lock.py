@@ -6,9 +6,10 @@ payloads are the reproduced numbers themselves, before any rendering,
 so a faster or restructured simulator core must leave every digest
 unchanged; the test names each cell that drifted.
 
-It also holds headline values as readable numbers: Table 4's rows and
-Figure 13's normalised iTLB stall ratios, merged from the same
-payloads.  A drifted headline is reported as ``old -> new``, so the
+It also holds headline values as readable numbers: Table 4's rows,
+Figure 8's median L1-I stalls and the two reductions it prints, Figure
+9's mean PTPs and file-backed faults, and Figure 13's normalised iTLB
+stall ratios, merged from the same payloads.  A drifted headline is reported as ``old -> new``, so the
 failure says which figure moved and by how much.
 
 Re-record only for a deliberate change to the simulation, and say why
@@ -30,6 +31,7 @@ import pytest
 from repro.experiments.common import SCALES
 from repro.experiments.fork import TABLE4_KERNELS, merge_table4
 from repro.experiments.ipc import IPC_KERNELS, merge_ipc
+from repro.experiments.launch import LAUNCH_CONFIGS, merge_launch
 from repro.experiments.runner import ALL_GROUPS, plan_target
 from repro.orchestrate.cells import canonical_json, execute_cell
 
@@ -58,7 +60,8 @@ def _ipc_cell_id(asid: bool, kernel: str) -> str:
 
 
 def headlines(payloads: Dict[str, Any]) -> Dict[str, float]:
-    """Table 4's rows and Figure 13's ratios, by ``figure/row/column``."""
+    """Table 4's rows and Figures 8, 9 and 13's values, by
+    ``figure/row/column``."""
     values: Dict[str, float] = {}
     table4 = merge_table4([payloads[f"table4/{kernel}"]
                            for kernel in TABLE4_KERNELS])
@@ -66,6 +69,17 @@ def headlines(payloads: Dict[str, Any]) -> Dict[str, float]:
         for column in ("cycles", "ptps_allocated", "shared_ptps",
                        "ptes_copied"):
             values[f"table4/{row.kernel}/{column}"] = getattr(row, column)
+    launch = merge_launch([payloads[f"launch/{label}"]
+                           for label, _, _ in LAUNCH_CONFIGS])
+    for label, series in launch.series.items():
+        values[f"figure8/{label}/l1i_median"] = series.l1i_box.median
+        values[f"figure9/{label}/ptps"] = series.mean_ptps
+        values[f"figure9/{label}/file_faults"] = series.mean_file_faults
+    # The two reductions Figure 8 prints: shared against stock, per layout.
+    for layout, suffix in (("original", ""), ("2mb", "-2MB")):
+        shared = launch.get(f"Shared PTP & TLB{suffix}").l1i_box.median
+        stock = launch.get(f"Stock Android{suffix}").l1i_box.median
+        values[f"figure8/reduction/{layout}"] = 1 - shared / stock
     modes = [(asid, kernel) for asid in (False, True) for kernel in IPC_KERNELS]
     ipc = merge_ipc([payloads[f"ipc/{_ipc_cell_id(*mode)}"]
                      for mode in modes])

@@ -11,6 +11,7 @@ The load-bearing guarantees:
 
 import http.client
 import json
+import random
 import threading
 import time
 import urllib.error
@@ -32,6 +33,7 @@ from repro.serve import (
     validate_schema,
 )
 from repro.serve.app import ServiceUnavailable
+from repro.serve.registry import RUN_STATES
 from repro.serve.loadgen import write_report
 
 # ---------------------------------------------------------------------------
@@ -233,6 +235,38 @@ class TestRunRegistry:
         events, finished = registry.events_since(record, 2, timeout=1)
         assert finished and [e["type"] for e in events] == ["cell",
                                                            "state"]
+
+    def test_count_state_matches_a_scan_of_every_record(self):
+        """The per-state counts follow submissions, coalesced joins and
+        every transition, for every state at every step."""
+        rng = random.Random(15)
+        registry = RunRegistry()
+        requests = [RunRequest(target=target, seed=seed)
+                    for target in ("fork", "ipc") for seed in (1, 2, 3)]
+        records = []
+
+        def scan(state):
+            return sum(1 for record in records if record.state == state)
+
+        for _ in range(400):
+            live = [r for r in records if not r.finished]
+            action = rng.random()
+            if action < 0.4 or not live:
+                record, created = registry.submit(rng.choice(requests))
+                if created:
+                    records.append(record)
+            else:
+                record = rng.choice(live)
+                if record.state == "queued" and action < 0.7:
+                    registry.mark_running(record)
+                elif action < 0.9:
+                    registry.finish(record, "report", hits=1, misses=0)
+                else:
+                    registry.fail(record, "boom")
+            for state in RUN_STATES:
+                assert registry.count_state(state) == scan(state), state
+        assert registry.count_state("done") and registry.count_state("failed")
+        assert registry.count_state("no-such-state") == 0
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,25 @@ def anon_vma(start, pages, prot=Prot.READ | Prot.WRITE, flags=ANON):
                flags=flags)
 
 
+class TestFlagPredicates:
+    """The predicates agree with flag arithmetic for every combination."""
+
+    def test_prot_predicates_match_flag_arithmetic(self):
+        for value in range(8):
+            prot = Prot(value)
+            assert prot.readable == bool(prot & Prot.READ)
+            assert prot.writable == bool(prot & Prot.WRITE)
+            assert prot.executable == bool(prot & Prot.EXEC)
+
+    def test_map_flag_predicates_match_flag_arithmetic(self):
+        for value in range(32):
+            flags = MapFlags(value)
+            assert flags.is_private == bool(flags & MapFlags.PRIVATE)
+            assert flags.is_shared == bool(flags & MapFlags.SHARED)
+            assert flags.is_anonymous == bool(flags & MapFlags.ANONYMOUS)
+            assert flags.is_growsdown == bool(flags & MapFlags.GROWSDOWN)
+
+
 class TestVmaValidation:
     def test_rejects_unaligned(self):
         with pytest.raises(VmaError):
