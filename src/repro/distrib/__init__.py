@@ -5,9 +5,13 @@ worker processes (:mod:`repro.distrib.worker`) that import ``repro``
 once and then loop on length-prefixed canonical-JSON frames
 (:mod:`repro.distrib.protocol`).  A :class:`DistribExecutor`
 (:mod:`repro.distrib.client`) plugs into the orchestrator beside the
-serial and spawn-pool executors, selected with ``--executor distrib``
-or ``$SATR_WORKERS``.  Byte-identity with serial execution is the
-contract; every failure mode degrades toward in-process execution.
+in-process serial executor; it is the one parallel backend.
+``--workers-at`` / ``$SATR_WORKERS`` selects an external daemon, and
+``--jobs N > 1`` starts N :func:`local_workers`
+(:mod:`repro.distrib.local`) for the command; ``--jobs 1`` stays
+in-process (``repro.orchestrate.open_executor`` holds the rule).
+Byte-identity with serial execution is the contract; every failure
+mode degrades toward in-process execution.
 
 See DESIGN.md §14 for the frame vocabulary, the worker lifecycle, and
 the retry/fallback ladder.
@@ -19,6 +23,7 @@ from repro.distrib.client import (
     pool_alive,
 )
 from repro.distrib.daemon import DEFAULT_SOCKET, WorkersDaemon, run_daemon
+from repro.distrib.local import local_workers
 from repro.distrib.pool import WorkerPool, WorkerStartupError
 from repro.distrib.protocol import (
     PROTOCOL_VERSION,
@@ -41,6 +46,7 @@ __all__ = [
     "WorkersDaemon",
     "default_address",
     "fetch_pool_stats",
+    "local_workers",
     "parse_address",
     "pool_alive",
     "read_frame",

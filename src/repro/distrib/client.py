@@ -7,8 +7,7 @@ Heartbeats ride the same socket: whenever the daemon has been silent
 for one heartbeat interval the client sends a ``ping``; three silent
 intervals in a row mean the daemon is gone.
 
-The fallback ladder (mirrors the spawn pool's "slower but never
-wrong"):
+The fallback ladder ("slower but never wrong"):
 
 - daemon unreachable            → every cell runs in-process;
 - connection lost mid-run       → the not-yet-answered cells run
@@ -20,17 +19,18 @@ wrong"):
 
 Every fallback is announced through the ``on_fallback`` callback so
 orchestrator telemetry and the ``satr_executor_fallbacks_total``
-counter can see it — never a bare warning.
+counter can see it; without a callback it is a ``RuntimeWarning``.
 """
 
 import json
 import socket
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional
+from typing import Any, Dict, Iterable, Iterator, List, Optional
 
 from repro import __version__
 from repro.distrib import protocol
 from repro.distrib.protocol import ProtocolError, write_frame
-from repro.orchestrate.executor import CellRun, WorkItem, _run_one
+from repro.orchestrate.executor import (CellRun, FallbackHook, WorkItem,
+                                        _announce_fallback, _run_one)
 
 #: Seconds of daemon silence before the client sends a ping.
 DEFAULT_HEARTBEAT_SECONDS = 5.0
@@ -40,8 +40,6 @@ MISSED_HEARTBEATS = 3
 
 #: Seconds allowed for the initial connect + hello handshake.
 DEFAULT_CONNECT_TIMEOUT = 10.0
-
-FallbackHook = Optional[Callable[[str], None]]
 
 
 class _Connection:
@@ -124,7 +122,7 @@ class _Connection:
 
 
 class DistribExecutor:
-    """The warm-pool executor: same shape as run_serial/run_parallel.
+    """The warm-pool executor: same shape as ``SerialExecutor``.
 
     ``run``/``run_iter`` take ``(index, cell_dict)`` items; ``run``
     returns ``(index, payload, elapsed)`` in input order, ``run_iter``
@@ -151,45 +149,41 @@ class DistribExecutor:
     def run_iter(self, items: Iterable[WorkItem],
                  on_fallback: FallbackHook = None) -> Iterator[CellRun]:
         """Cells as they complete — the streaming-merge feed."""
-        items = list(items)
-        if not items:
+        pending: Dict[int, WorkItem] = {item[0]: item for item in items}
+        if not pending:
             return
         try:
             conn = self._open()
         except (OSError, ProtocolError, ValueError, ConnectionError) as exc:
-            self._announce(on_fallback,
-                           f"worker pool unreachable at {self.address} "
-                           f"({exc}); running all cells in-process")
-            for item in items:
-                yield _run_one(item)
+            yield from _in_process(
+                pending, on_fallback,
+                f"worker pool unreachable at {self.address} ({exc})")
             return
-        pending: Dict[int, WorkItem] = {}
         try:
-            for item in items:
-                frame: Dict[str, Any] = {"type": "run", "id": item[0],
-                                         "cell": item[1]}
-                if self.cell_timeout is not None:
-                    frame["timeout"] = self.cell_timeout
-                conn.send(frame)
-                pending[item[0]] = item
+            try:
+                for index, cell in pending.values():
+                    frame: Dict[str, Any] = {"type": "run", "id": index,
+                                             "cell": cell}
+                    if self.cell_timeout is not None:
+                        frame["timeout"] = self.cell_timeout
+                    conn.send(frame)
+            except OSError as exc:
+                yield from _in_process(
+                    pending, on_fallback,
+                    f"worker pool connection lost ({exc})")
+                return
             while pending:
                 try:
                     frame = conn.recv_frame()
                 except (ConnectionError, ProtocolError, OSError) as exc:
-                    self._announce(
-                        on_fallback,
-                        f"worker pool connection lost ({exc}); running "
-                        f"{len(pending)} remaining cells in-process")
-                    for index in sorted(pending):
-                        yield _run_one(pending[index])
+                    yield from _in_process(
+                        pending, on_fallback,
+                        f"worker pool connection lost ({exc})")
                     return
                 if frame is None:
-                    self._announce(
-                        on_fallback,
-                        f"worker pool closed the connection; running "
-                        f"{len(pending)} remaining cells in-process")
-                    for index in sorted(pending):
-                        yield _run_one(pending[index])
+                    yield from _in_process(
+                        pending, on_fallback,
+                        "worker pool closed the connection")
                     return
                 kind = frame.get("type") if isinstance(frame, dict) else None
                 if kind == "pong":
@@ -209,7 +203,7 @@ class DistribExecutor:
                 # the worker environment is broken and the fallback
                 # counter is how anyone finds out).
                 error_kind = frame.get("kind", "protocol")
-                self._announce(
+                _announce_fallback(
                     on_fallback,
                     f"worker pool failed cell {item[0]} "
                     f"({error_kind}: {frame.get('error')}); running "
@@ -241,10 +235,14 @@ class DistribExecutor:
             raise
         return conn
 
-    @staticmethod
-    def _announce(on_fallback: FallbackHook, reason: str) -> None:
-        if on_fallback is not None:
-            on_fallback(reason)
+
+def _in_process(pending: Dict[int, WorkItem], on_fallback: FallbackHook,
+                why: str) -> Iterator[CellRun]:
+    """Announce once, then run every unanswered cell here, in order."""
+    _announce_fallback(on_fallback, f"{why}; running {len(pending)} "
+                                    f"remaining cells in-process")
+    for index in sorted(pending):
+        yield _run_one(pending[index])
 
 
 def fetch_pool_stats(address: str,

@@ -73,8 +73,9 @@ class WorkersDaemon:
 
     def serve_forever(self) -> None:
         """Accept until drain; returns after the pool has emptied."""
-        # A timeout (not close-from-another-thread, which Linux does
-        # not deliver to a blocked accept) is what lets drain() land.
+        # drain() shuts the listener down, which wakes a blocked accept
+        # on Linux (closing it from another thread does not); the
+        # timeout is the backstop where shutdown does not wake it.
         self.listener.settimeout(0.5)
         while not self._draining.is_set():
             try:
@@ -96,10 +97,12 @@ class WorkersDaemon:
     def drain(self) -> None:
         """Stop accepting; serve_forever finishes queued work and exits."""
         self._draining.set()
-        try:
-            self.listener.close()
-        except OSError:
-            pass
+        for closer in (lambda: self.listener.shutdown(socket.SHUT_RDWR),
+                       self.listener.close):
+            try:
+                closer()
+            except OSError:
+                pass
         if self.bound.startswith("unix:"):
             try:
                 os.unlink(self.bound[len("unix:"):])

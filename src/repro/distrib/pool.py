@@ -22,7 +22,7 @@ Failure ladder (per task):
    re-executing serially.
 
 Every rung degrades toward "run it in-process, slower but never
-wrong" — the same contract the spawn pool established.
+wrong".
 """
 
 import os
@@ -35,8 +35,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
+import repro
 from repro.distrib.protocol import ProtocolError, read_frame, write_frame
-from repro.orchestrate.executor import _package_paths
 
 #: How long one worker may take to import repro and say hello.
 SPAWN_TIMEOUT_SECONDS = 120.0
@@ -70,17 +70,16 @@ def worker_command() -> List[str]:
 def worker_env() -> Dict[str, str]:
     """The child environment, with ``repro`` importable.
 
-    Like the spawn pool's initializer: if the daemon found the package
-    via a runtime ``sys.path`` edit, the worker would not, so the
+    If the daemon found the package via a runtime ``sys.path`` edit
+    (tests, PYTHONPATH-less invocations), the worker would not, so the
     package location is prepended to ``PYTHONPATH``.
     """
     env = dict(os.environ)
-    paths = _package_paths()
-    existing = env.get("PYTHONPATH")
-    if existing:
-        paths = paths + [existing]
-    if paths:
-        env["PYTHONPATH"] = os.pathsep.join(paths)
+    paths = [os.path.dirname(os.path.dirname(os.path.abspath(
+        repro.__file__)))]
+    if env.get("PYTHONPATH"):
+        paths.append(env["PYTHONPATH"])
+    env["PYTHONPATH"] = os.pathsep.join(paths)
     return env
 
 
@@ -90,9 +89,13 @@ class WorkerHandle:
     def __init__(self) -> None:
         # bufsize=0: raw pipes, so select() on the fd sees exactly the
         # bytes a read would — no data hiding in a BufferedReader.
-        self.proc = subprocess.Popen(
-            worker_command(), stdin=subprocess.PIPE,
-            stdout=subprocess.PIPE, env=worker_env(), bufsize=0)
+        try:
+            self.proc = subprocess.Popen(
+                worker_command(), stdin=subprocess.PIPE,
+                stdout=subprocess.PIPE, env=worker_env(), bufsize=0)
+        except OSError as exc:
+            raise WorkerStartupError(
+                f"worker could not be spawned: {exc}") from None
         self.out = self.proc.stdin
         self.inp = self.proc.stdout
         try:
@@ -224,6 +227,19 @@ class WorkerPool:
             self._tasks.put(None)
         for thread in self._threads:
             thread.join()
+
+    def discard_queued(self) -> None:
+        """Drop every task no worker has started.
+
+        For a pool whose only client has gone (a private pool after a
+        cell raised): otherwise its queued cells would all run before
+        :meth:`shutdown` could stop the workers.
+        """
+        while True:
+            try:
+                self._tasks.get_nowait()
+            except queue.Empty:
+                return
 
     # -- submission -----------------------------------------------------
 
@@ -389,5 +405,8 @@ class WorkerPool:
     def _reply(task: Task, answer: Dict[str, Any]) -> None:
         try:
             task.reply(answer)
-        except OSError:
-            pass  # The client hung up; the work is simply discarded.
+        except (OSError, ValueError):
+            # The client hung up (ValueError: its stream was already
+            # closed); the work is simply discarded, and the dispatcher
+            # thread must survive to serve the next task.
+            pass

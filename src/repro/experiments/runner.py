@@ -5,16 +5,17 @@ Usage::
     satr table4                      # one artefact
     satr launch                      # one experiment group (figures 7-9)
     satr all --scale quick           # everything, reduced sizing
-    satr all --scale quick --jobs 4  # ... on a 4-process pool
+    satr all --scale quick --jobs 4  # ... on 4 local warm workers
     satr all --seed 11               # vary the simulation seed
     satr all --no-cache              # force recomputation
 
 Every target is planned as a list of deterministic cells plus a pure
-merge (see :mod:`repro.orchestrate`), so ``--jobs N`` runs cells on a
-process pool and a warm result cache replays them, with byte-identical
-reports either way.  Reports go to stdout; timing, progress and the
-cache hit/miss summary go to stderr, so stdout stays comparable across
-runs.
+merge (see :mod:`repro.orchestrate`), so ``--jobs N`` runs cells on N
+local warm workers (held for the whole command, so they keep their
+boot images across targets) and a warm result cache replays them,
+with byte-identical reports either way.  Reports go to stdout;
+timing, progress and the cache hit/miss summary go to stderr, so
+stdout stays comparable across runs.
 
 The ``trace`` subcommand records structured kernel events while one of
 the workloads runs and exports them::
@@ -68,17 +69,17 @@ p50/p95/p99 latency and throughput (``BENCH_serve.json`` baseline)::
 The ``workers`` subcommand runs the persistent warm-worker pool
 daemon (see :mod:`repro.distrib`): N workers import ``repro`` once
 and serve cell execution over a unix or TCP socket.  Every cell
-subcommand can then dispatch to it with ``--executor distrib`` (or
-just by exporting ``$SATR_WORKERS``)::
+subcommand can then dispatch to it with ``--workers-at`` (or just by
+exporting ``$SATR_WORKERS``), which takes precedence over ``--jobs``::
 
     satr workers --address unix:/tmp/satr.sock -n 4
-    satr compare --scale quick --executor distrib \\
-        --workers-at unix:/tmp/satr.sock
+    satr compare --scale quick --workers-at unix:/tmp/satr.sock
     SATR_WORKERS=unix:/tmp/satr.sock satr all --scale quick
 
 The ``sweep`` subcommand streams a target's cells into a JSONL
-manifest with O(1) resident payloads, and ``--since`` re-executes only
-cells whose config digest changed since a previous manifest::
+manifest (O(1) resident payloads when run serially), and ``--since``
+re-executes only cells whose config digest changed since a previous
+manifest::
 
     satr sweep fork --scale quick -o sweep-fork.jsonl
     satr sweep fork --scale quick --seed 11 -o sweep-fork.jsonl \\
@@ -91,11 +92,12 @@ The ``cache`` subcommand inspects or prunes the result cache::
 """
 
 import argparse
+import contextlib
 import os
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.experiments import ablations, fork, ipc, launch, motivation, steady
 from repro.experiments.common import (
@@ -112,7 +114,7 @@ from repro.orchestrate import (
     Telemetry,
     fold_ordered,
     kernel_config_fields,
-    make_executor,
+    open_executor,
 )
 
 
@@ -315,7 +317,7 @@ POLICY_TARGETS = frozenset(
 
 @dataclass
 class RunContext:
-    """How to execute: the orchestrator (jobs + cache) and the seed."""
+    """How to execute: the orchestrator (executor + cache) and the seed."""
 
     orchestrator: Orchestrator = field(default_factory=Orchestrator)
     seed: int = DEFAULT_SEED
@@ -362,24 +364,28 @@ def run_target(target: str, scale: Scale,
 # Shared executor/cache plumbing for the cell-running subcommands.
 # ---------------------------------------------------------------------------
 
-EXECUTOR_KINDS = ("serial", "pool", "distrib")
+def _jobs(text: str) -> int:
+    """``--jobs`` values: positive integers (a parser error otherwise)."""
+    try:
+        jobs = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {jobs}")
+    return jobs
 
 
 def _add_exec_args(parser: argparse.ArgumentParser) -> None:
     """The executor/cache flags every cell-running subcommand shares."""
     parser.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="worker processes for the pool executor (default: 1)")
-    parser.add_argument(
-        "--executor", default=None, choices=EXECUTOR_KINDS,
-        help="cell executor (default: distrib when $SATR_WORKERS or "
-             "--workers-at names a pool, pool when --jobs > 1, else "
-             "serial)")
+        "--jobs", type=_jobs, default=1, metavar="N",
+        help="cells run on N local warm workers started for this "
+             "command; 1 runs them in-process (default: 1)")
     parser.add_argument(
         "--workers-at", default=None, metavar="ADDR",
-        help="worker-pool address for the distrib executor, "
-             "unix:/path.sock or tcp:HOST:PORT (default: $SATR_WORKERS; "
-             "start a pool with 'satr workers')")
+        help="run cells on the 'satr workers' daemon at ADDR, "
+             "unix:/path.sock or tcp:HOST:PORT, instead of --jobs "
+             "(default: $SATR_WORKERS)")
     parser.add_argument(
         "--cache-dir", default=None, metavar="DIR",
         help="result-cache root (default: $SATR_CACHE_DIR or "
@@ -389,37 +395,24 @@ def _add_exec_args(parser: argparse.ArgumentParser) -> None:
         help="recompute every cell; neither read nor write the cache")
 
 
-def _pick_executor(args: argparse.Namespace,
-                   parser: argparse.ArgumentParser) -> Any:
-    """Resolve the executor from --executor/--workers-at/$SATR_WORKERS."""
-    from repro.distrib.protocol import default_address
+@contextlib.contextmanager
+def _orchestrated(args: argparse.Namespace
+                  ) -> Iterator[Tuple[Orchestrator, Telemetry]]:
+    """(orchestrator, telemetry) from the shared executor/cache flags.
 
-    if args.jobs < 1:
-        parser.error("--jobs must be >= 1")
-    kind = args.executor
-    if kind is None:
-        if args.workers_at or default_address():
-            kind = "distrib"
-        elif args.jobs > 1:
-            kind = "pool"
-        else:
-            kind = "serial"
-    try:
-        return make_executor(kind, jobs=args.jobs, address=args.workers_at)
-    except ValueError as exc:
-        parser.error(str(exc))
+    The executor lives as long as the ``with`` block, so one command's
+    local workers serve every target it runs.
+    """
+    from repro.distrib import default_address
 
-
-def _build_orchestrator(args: argparse.Namespace,
-                        parser: argparse.ArgumentParser):
-    """(orchestrator, telemetry) from the shared executor/cache flags."""
     telemetry = Telemetry(
         progress=lambda line: print(line, file=sys.stderr, flush=True))
     cache = None if args.no_cache else ResultCache(args.cache_dir)
-    orchestrator = Orchestrator(
-        jobs=args.jobs, cache=cache, telemetry=telemetry,
-        executor=_pick_executor(args, parser))
-    return orchestrator, telemetry
+    address = args.workers_at or default_address()
+    with open_executor(args.jobs, address,
+                       telemetry.executor_fallback) as executor:
+        yield Orchestrator(cache=cache, telemetry=telemetry,
+                           executor=executor), telemetry
 
 
 def trace_main(argv) -> int:
@@ -460,12 +453,12 @@ def trace_main(argv) -> int:
         else f"trace-{args.target}.jsonl"
     )
 
-    orchestrator, telemetry = _build_orchestrator(args, parser)
-
     started = time.time()
-    result = tracing.run_trace(args.target, scale,
-                               orchestrator=orchestrator,
-                               seed=args.seed, ring_size=args.ring_size)
+    with _orchestrated(args) as (orchestrator, telemetry):
+        result = tracing.run_trace(args.target, scale,
+                                   orchestrator=orchestrator,
+                                   seed=args.seed,
+                                   ring_size=args.ring_size)
     written = tracing.export_result(result, output, args.format,
                                     scale_name=scale.name, seed=args.seed)
     elapsed = time.time() - started
@@ -518,13 +511,12 @@ def check_main(argv) -> int:
         parser.error("--every must be >= 0")
     scale = SCALES[args.scale]
 
-    orchestrator, telemetry = _build_orchestrator(args, parser)
-
     started = time.time()
-    result = checking.run_check(args.target, scale,
-                                orchestrator=orchestrator,
-                                seed=args.seed, inject=args.inject,
-                                every=args.every, policy=args.policy)
+    with _orchestrated(args) as (orchestrator, telemetry):
+        result = checking.run_check(args.target, scale,
+                                    orchestrator=orchestrator,
+                                    seed=args.seed, inject=args.inject,
+                                    every=args.every, policy=args.policy)
     elapsed = time.time() - started
     print(f"[satr] check {args.target}: {elapsed:.1f}s",
           file=sys.stderr)
@@ -572,12 +564,11 @@ def metrics_main(argv) -> int:
         parser.error("--every must be >= 0")
     scale = SCALES[args.scale]
 
-    orchestrator, telemetry = _build_orchestrator(args, parser)
-
     started = time.time()
-    result = metricscells.run_metrics(args.target, scale,
-                                      orchestrator=orchestrator,
-                                      seed=args.seed, every=args.every)
+    with _orchestrated(args) as (orchestrator, telemetry):
+        result = metricscells.run_metrics(args.target, scale,
+                                          orchestrator=orchestrator,
+                                          seed=args.seed, every=args.every)
     elapsed = time.time() - started
     if args.format == "summary":
         print(f"[satr] metrics {args.target}: {elapsed:.1f}s",
@@ -640,19 +631,13 @@ def compare_main(argv) -> int:
                          f"from {known_policies}")
     scale = SCALES[args.scale]
 
-    orchestrator, telemetry = _build_orchestrator(args, parser)
-
     started = time.time()
-    if args.output:
-        # -o needs every payload for the JSON dump: buffered merge.
-        result = compare.run_compare(targets, policies, scale,
-                                     orchestrator=orchestrator,
-                                     seed=args.seed)
-    else:
-        # Streaming merge: payloads fold to rows as cells complete.
-        result = compare.run_compare_stream(targets, policies, scale,
-                                            orchestrator=orchestrator,
-                                            seed=args.seed)
+    # -o needs every payload for the JSON dump: buffered merge.
+    # Otherwise payloads fold to rows as cells complete.
+    run = compare.run_compare if args.output else compare.run_compare_stream
+    with _orchestrated(args) as (orchestrator, telemetry):
+        result = run(targets, policies, scale, orchestrator=orchestrator,
+                     seed=args.seed)
     elapsed = time.time() - started
     print(f"[satr] compare: {elapsed:.1f}s", file=sys.stderr)
     print(f"=== compare (scale={scale.name}) ===")
@@ -896,7 +881,8 @@ def workers_main(argv) -> int:
                      "import repro once and serve cell execution over "
                      "a unix or TCP socket (length-prefixed canonical-"
                      "JSON frames).  Point any satr subcommand at it "
-                     "with --executor distrib / $SATR_WORKERS.  SIGTERM "
+                     "with --workers-at / $SATR_WORKERS; --jobs N starts "
+                     "a private pool like it for one command.  SIGTERM "
                      "drains: queued cells finish, workers stop, exit 0."),
     )
     parser.add_argument("--address", default=None, metavar="ADDR",
@@ -1039,7 +1025,8 @@ def sweep_main(argv) -> int:
         prog="satr sweep",
         description=("Stream one target's cells into a JSONL manifest "
                      "(header + one canonical payload line per cell, "
-                     "plan order) holding O(1) payloads resident.  "
+                     "plan order), holding O(1) payloads resident "
+                     "when run serially.  "
                      "--since reuses every cell whose config digest is "
                      "unchanged from a previous manifest, re-executing "
                      "only what changed."),
@@ -1066,7 +1053,6 @@ def sweep_main(argv) -> int:
     args = parser.parse_args(argv)
     scale = SCALES[args.scale]
     plan = plan_target(args.target, scale, args.seed, args.policy)
-    orchestrator, telemetry = _build_orchestrator(args, parser)
     output = args.output or f"sweep-{args.target}.jsonl"
     since = args.since
     if since is not None and not os.path.exists(since):
@@ -1075,9 +1061,10 @@ def sweep_main(argv) -> int:
         since = None
 
     started = time.time()
-    result = sweep.run_sweep(args.target, plan.cells, orchestrator,
-                             output, scale.name, args.seed,
-                             policy=args.policy, since=since)
+    with _orchestrated(args) as (orchestrator, telemetry):
+        result = sweep.run_sweep(args.target, plan.cells, orchestrator,
+                                 output, scale.name, args.seed,
+                                 policy=args.policy, since=since)
     elapsed = time.time() - started
     print(f"[satr] {result.render()} ({elapsed:.1f}s)", file=sys.stderr)
     if args.render:
@@ -1153,22 +1140,21 @@ def main(argv=None) -> int:
                 f"{', '.join(sorted(POLICY_TARGETS))}")
     scale = SCALES[args.scale]
 
-    orchestrator, telemetry = _build_orchestrator(args, parser)
-    ctx = RunContext(
-        orchestrator=orchestrator,
-        seed=args.seed,
-        policy=args.policy,
-    )
-
     targets = ALL_GROUPS if args.target == "all" else [args.target]
-    for target in targets:
-        started = time.time()
-        report = run_target(target, scale, ctx)
-        elapsed = time.time() - started
-        print(f"[satr] {target}: {elapsed:.1f}s", file=sys.stderr)
-        print(f"=== {target} (scale={scale.name}) ===")
-        print(report)
-        print()
+    with _orchestrated(args) as (orchestrator, telemetry):
+        ctx = RunContext(
+            orchestrator=orchestrator,
+            seed=args.seed,
+            policy=args.policy,
+        )
+        for target in targets:
+            started = time.time()
+            report = run_target(target, scale, ctx)
+            elapsed = time.time() - started
+            print(f"[satr] {target}: {elapsed:.1f}s", file=sys.stderr)
+            print(f"=== {target} (scale={scale.name}) ===")
+            print(report)
+            print()
     print(telemetry.summary(), file=sys.stderr)
     return 0
 

@@ -10,18 +10,21 @@ canonical-JSON payload line per cell, in plan order::
     {...payload for cell 1...}
 
 Payloads are written (and dropped) as the in-order fold reaches them,
-so a 10,000-cell sweep holds O(1) payloads resident no matter how
-large the plan is.  Because payload lines are canonical JSON produced
-from canonical cell results, the manifest is byte-identical across
-serial, pool and distrib executors — the sweep-shaped restatement of
-the orchestrator's byte-identity contract.
+so a serial 10,000-cell sweep holds O(1) payloads resident no matter
+how large the plan is; a parallel one also holds the payloads that
+finished ahead of the fold's cursor (``repro.orchestrate.stream``).
+Because payload lines are canonical JSON produced from canonical cell
+results, the manifest is byte-identical across the serial and
+warm-worker executors — the sweep-shaped restatement of the
+orchestrator's byte-identity contract.
 
 Cross-run incremental invalidation: ``--since OLD_MANIFEST`` indexes a
 previous sweep by cell digest and **reuses** every payload whose
 digest still appears in the new plan — only cells whose config digest
 changed (new scale, new seed, new policy, new code version) are
 re-executed.  Reused payloads are copied lazily, one line at a time,
-from the old manifest's byte offsets, so reuse keeps the O(1) bound.
+from the old manifest's byte offsets, so reuse adds no resident
+payloads.
 """
 
 import json

@@ -8,8 +8,9 @@ cell lists through:
 
 * :class:`Orchestrator` — the façade: cache probe, executor dispatch,
   telemetry;
-* :mod:`~repro.orchestrate.executor` — serial and spawn-safe
-  process-pool executors (``--jobs N``), with graceful serial fallback;
+* :mod:`~repro.orchestrate.executor` — the executor seam and the
+  in-process :class:`SerialExecutor`; ``--jobs N`` runs cells on N
+  warm workers through the same seam (``repro.distrib``);
 * :class:`ResultCache` — content-addressed on-disk JSON artifacts keyed
   by package version + experiment + scale + seed + kernel-config
   fields, so a warm ``satr all`` rerun is near-instant;
@@ -34,11 +35,7 @@ from repro.orchestrate.cells import (
     kernel_config_fields,
     resolve_cell_fn,
 )
-from repro.orchestrate.executor import (
-    PoolExecutor,
-    SerialExecutor,
-    make_executor,
-)
+from repro.orchestrate.executor import SerialExecutor, open_executor
 from repro.orchestrate.orchestrator import Orchestrator
 from repro.orchestrate.stream import FoldStats, fold_ordered
 from repro.orchestrate.telemetry import CellRecord, Telemetry
@@ -51,12 +48,11 @@ __all__ = [
     "FoldStats",
     "InflightCoalescer",
     "Orchestrator",
-    "PoolExecutor",
     "ResultCache",
     "SerialExecutor",
     "Telemetry",
     "fold_ordered",
-    "make_executor",
+    "open_executor",
     "canonical_json",
     "canonicalize",
     "default_cache_dir",

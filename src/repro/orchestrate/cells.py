@@ -3,15 +3,15 @@
 A **cell** is one seeded, self-contained simulation — e.g. all launch
 rounds of one kernel configuration, or one (ASID x kernel) binder
 sweep.  Experiments decompose into a list of cells plus a pure
-**merge** step, which lets the orchestrator run cells serially, in a
-process pool, or straight out of the on-disk result cache, with a
-byte-identical final report in every case.
+**merge** step, which lets the orchestrator run cells serially, on
+warm worker processes, or straight out of the on-disk result cache,
+with a byte-identical final report in every case.
 
 Design rules that make this work:
 
 * A cell's function is referenced by *dotted path* (``module:function``)
-  rather than by object, so cells pickle cleanly into spawn-started
-  worker processes and hash stably into cache keys.
+  rather than by object, so cells travel as plain JSON to worker
+  processes that import them fresh, and hash stably into cache keys.
 * Cell parameters are plain JSON values (the ``Scale`` dataclass is
   flattened with :func:`dataclasses.asdict` before it enters a cell).
 * A cell function returns a JSON-serialisable payload; the orchestrator
@@ -150,8 +150,8 @@ def resolve_cell_fn(path: str) -> Callable[[Dict[str, Any]], Any]:
 def execute_cell(cell_dict: Dict[str, Any]) -> Any:
     """Run one cell description and return its canonicalised payload.
 
-    Module-level (and driven purely by a plain dict) so spawn-started
-    pool workers can execute it after a fresh import.
+    Module-level (and driven purely by a plain dict) so a warm worker
+    can execute a cell that arrived as a JSON frame.
 
     A runtime is a cyclic object graph, so it outlives its cell until a
     full collection, which runs after every cell.  A boot's allocation

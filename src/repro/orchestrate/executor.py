@@ -1,24 +1,27 @@
-"""Cell executors: serial, and a spawn-safe process pool.
+"""The executor seam, and the in-process serial executor behind it.
 
-Both executors take ``(index, cell_dict)`` work items and return
-``(index, payload, elapsed_seconds)`` triples **in input order**, so
-callers can slot results back into the cell list deterministically no
-matter which worker finished first.
+Every executor takes ``(index, cell_dict)`` work items and exposes the
+same two methods:
 
-The process pool uses the ``spawn`` start method everywhere: it is the
-only method available on all platforms, and it forces cells through the
-same "fresh import + plain-dict arguments" path the cache replay uses,
-which keeps parallel results honest.  If the pool cannot be created or
-dies (no ``_multiprocessing``, sandboxed semaphores, missing fork), the
-remaining cells fall back to in-process serial execution — slower,
-never wrong.
+  run(items, on_fallback)      -> List[CellRun] in **input order**
+  run_iter(items, on_fallback) -> Iterator[CellRun] in **completion
+                                  order** (the streaming-merge feed)
+
+:class:`SerialExecutor` is the reference and the ``--jobs 1`` path.
+The one parallel executor is ``repro.distrib.DistribExecutor``, over a
+``satr workers`` daemon or over the local warm workers ``--jobs N``
+starts (``repro.distrib.local``); :func:`open_executor` holds the rule
+that picks one.  The orchestrator neither knows nor cares which one it
+holds: byte-identity of the merged report is the shared contract.  A
+parallel executor that degrades to in-process execution announces it
+through ``on_fallback`` — slower, never wrong.
 """
 
-import sys
+import contextlib
 import time
 import warnings
-from typing import (Any, Callable, Dict, Iterable, Iterator, List,
-                    Optional, Tuple)
+from typing import (Any, Callable, ContextManager, Dict, Iterable,
+                    Iterator, List, Optional, Tuple)
 
 from repro.orchestrate.cells import execute_cell
 
@@ -41,103 +44,16 @@ def _announce_fallback(on_fallback: FallbackHook, reason: str) -> None:
 
 
 def _run_one(item: WorkItem) -> CellRun:
-    """Execute one cell and time it (top-level: picklable for pools)."""
+    """Execute one cell in this process and time it."""
     index, cell_dict = item
     started = time.perf_counter()
     payload = execute_cell(cell_dict)
     return index, payload, time.perf_counter() - started
 
 
-def _init_worker(extra_paths: List[str]) -> None:
-    """Make ``repro`` importable in spawn-started workers.
-
-    Spawn re-imports from scratch; if the parent found the package via a
-    runtime ``sys.path`` edit (tests, PYTHONPATH-less invocations), the
-    child would not, so the parent ships its package location along.
-    """
-    for path in extra_paths:
-        if path not in sys.path:
-            sys.path.insert(0, path)
-
-
-def _package_paths() -> List[str]:
-    """Where the ``repro`` package was imported from."""
-    import repro
-
-    package_dir = getattr(repro, "__file__", None)
-    if package_dir is None:
-        return []
-    import os
-
-    return [os.path.dirname(os.path.dirname(os.path.abspath(package_dir)))]
-
-
 def run_serial(items: Iterable[WorkItem]) -> List[CellRun]:
     """Execute work items one after another, in order."""
     return [_run_one(item) for item in items]
-
-
-def run_parallel(items: List[WorkItem], jobs: int,
-                 on_fallback: FallbackHook = None) -> List[CellRun]:
-    """Execute work items on a spawn process pool; results in input order.
-
-    Any failure to *operate the pool itself* (creation, worker startup,
-    a broken pool) falls back to serial execution of the not-yet-done
-    items, announced through ``on_fallback`` (or a ``RuntimeWarning``
-    when no hook is given).  Exceptions raised by a cell function
-    propagate unchanged — a deterministic cell that fails in a worker
-    fails serially too.
-    """
-    if jobs <= 1 or len(items) <= 1:
-        return run_serial(items)
-    done: Dict[int, CellRun] = {}
-    try:
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        from concurrent.futures.process import BrokenProcessPool
-
-        context = multiprocessing.get_context("spawn")
-        workers = min(jobs, len(items))
-        with ProcessPoolExecutor(
-            max_workers=workers, mp_context=context,
-            initializer=_init_worker, initargs=(_package_paths(),),
-        ) as pool:
-            try:
-                for run in pool.map(_run_one, items):
-                    done[run[0]] = run
-            except BrokenProcessPool:
-                raise _PoolUnavailable("process pool died mid-run")
-    except (_PoolUnavailable, ImportError, OSError, PermissionError,
-            ValueError) as exc:
-        _announce_fallback(
-            on_fallback,
-            f"parallel execution unavailable ({exc}); running "
-            f"{len(items) - len(done)} remaining cells serially")
-        remaining = [item for item in items if item[0] not in done]
-        return sorted(
-            list(done.values()) + run_serial(remaining),
-            key=lambda run: run[0],
-        )
-    return [done[index] for index, _ in items]
-
-
-class _PoolUnavailable(Exception):
-    """Internal: the pool itself (not a cell) failed."""
-
-
-# ---------------------------------------------------------------------------
-# The executor objects: one seam the orchestrator drives.
-# ---------------------------------------------------------------------------
-#
-# Every executor exposes the same two methods:
-#
-#   run(items, on_fallback)      -> List[CellRun] in **input order**
-#   run_iter(items, on_fallback) -> Iterator[CellRun] in **completion
-#                                   order** (the streaming-merge feed)
-#
-# ``repro.distrib.DistribExecutor`` implements the same surface for the
-# warm-worker pool; the orchestrator neither knows nor cares which one
-# it holds — byte-identity of the merged report is the shared contract.
 
 
 class SerialExecutor:
@@ -155,86 +71,22 @@ class SerialExecutor:
             yield _run_one(item)
 
 
-class PoolExecutor:
-    """The spawn process pool, with the serial-fallback ladder."""
+def open_executor(jobs: int, address: Optional[str] = None,
+                  on_fallback: FallbackHook = None) -> ContextManager[Any]:
+    """The executor one command or served run gets, as a context.
 
-    name = "pool"
-
-    def __init__(self, jobs: int) -> None:
-        if jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {jobs}")
-        self.jobs = jobs
-
-    def run(self, items: List[WorkItem],
-            on_fallback: FallbackHook = None) -> List[CellRun]:
-        return run_parallel(items, self.jobs, on_fallback)
-
-    def run_iter(self, items: Iterable[WorkItem],
-                 on_fallback: FallbackHook = None) -> Iterator[CellRun]:
-        """Completion-order results off a spawn pool.
-
-        Same degradation ladder as :func:`run_parallel`: if the pool
-        itself fails, the not-yet-yielded cells run in-process.  Cell
-        exceptions propagate unchanged.
-        """
-        items = list(items)
-        if self.jobs <= 1 or len(items) <= 1:
-            for item in items:
-                yield _run_one(item)
-            return
-        done = set()
-        try:
-            import multiprocessing
-            from concurrent.futures import ProcessPoolExecutor, as_completed
-            from concurrent.futures.process import BrokenProcessPool
-
-            context = multiprocessing.get_context("spawn")
-            workers = min(self.jobs, len(items))
-            with ProcessPoolExecutor(
-                max_workers=workers, mp_context=context,
-                initializer=_init_worker, initargs=(_package_paths(),),
-            ) as pool:
-                futures = [pool.submit(_run_one, item) for item in items]
-                try:
-                    for future in as_completed(futures):
-                        run = future.result()
-                        done.add(run[0])
-                        yield run
-                except BrokenProcessPool:
-                    raise _PoolUnavailable("process pool died mid-run")
-        except (_PoolUnavailable, ImportError, OSError, PermissionError,
-                ValueError) as exc:
-            _announce_fallback(
-                on_fallback,
-                f"parallel execution unavailable ({exc}); running "
-                f"{len(items) - len(done)} remaining cells serially")
-            for item in items:
-                if item[0] not in done:
-                    yield _run_one(item)
-
-
-def make_executor(kind: str, jobs: int = 1,
-                  address: Optional[str] = None) -> Any:
-    """Build one executor by name: ``serial``, ``pool`` or ``distrib``.
-
-    ``distrib`` needs an ``address`` (or ``$SATR_WORKERS``); the import
-    is local so the orchestrate layer stays importable without the
-    distrib subsystem in pathological environments.
+    ``address`` (``--workers-at`` / ``$SATR_WORKERS``) selects that
+    ``satr workers`` daemon.  Otherwise ``jobs > 1`` starts that many
+    local warm workers for the life of the context, and ``jobs == 1``
+    runs in-process and starts nothing.  The distrib imports are local
+    so a serial run never loads the socket layer.
     """
-    if kind == "serial":
-        return SerialExecutor()
-    if kind == "pool":
-        return PoolExecutor(jobs)
-    if kind == "distrib":
+    if address:
         from repro.distrib.client import DistribExecutor
-        from repro.distrib.protocol import default_address
 
-        target = address or default_address()
-        if not target:
-            raise ValueError(
-                "--executor distrib needs a worker-pool address: pass "
-                "--workers-at or set $SATR_WORKERS (start one with "
-                "'satr workers')")
-        return DistribExecutor(target)
-    raise ValueError(
-        f"unknown executor {kind!r}; expected serial, pool or distrib")
+        return contextlib.nullcontext(DistribExecutor(address))
+    if jobs == 1:
+        return contextlib.nullcontext(SerialExecutor())
+    from repro.distrib.local import local_workers
+
+    return local_workers(jobs, on_fallback)

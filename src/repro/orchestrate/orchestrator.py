@@ -5,7 +5,8 @@ and returns their payloads **in list order**:
 
 1. every cell's digest is probed against the result cache;
 2. the misses run through the configured executor (in-process serial,
-   the spawn process pool, or a warm-worker pool daemon);
+   or warm workers: local to the command, or a ``satr workers``
+   daemon);
 3. fresh results are canonicalised (one JSON round trip) and stored.
 
 ``Orchestrator.run_iter`` is the streaming variant: it yields
@@ -17,9 +18,9 @@ one driver, so they cannot drift.
 
 Because cells are deterministic, payloads are canonical JSON values,
 and ``run`` always returns results in cell order, the merged report is
-byte-identical whether cells ran serially, in parallel, on a worker
-pool, or replayed from the cache — the correctness contract the test
-suite pins down.
+byte-identical whether cells ran serially, on warm workers, or were
+replayed from the cache — the correctness contract the test suite pins
+down.
 """
 
 from typing import Any, Iterator, List, Optional, Tuple
@@ -27,14 +28,13 @@ from typing import Any, Iterator, List, Optional, Tuple
 from repro.orchestrate.cache import ResultCache
 from repro.orchestrate.cells import Cell
 from repro.orchestrate.coalesce import InflightCoalescer
-from repro.orchestrate.executor import PoolExecutor, SerialExecutor
+from repro.orchestrate.executor import SerialExecutor
 from repro.orchestrate.telemetry import Telemetry
 
 
 class Orchestrator:
     """Executes cell lists; the policy knobs live here.
 
-    ``jobs``     — worker processes (1 = in-process serial).
     ``cache``    — a :class:`ResultCache`, or None to disable caching.
     ``telemetry``— shared across ``run`` calls, so one ``satr all``
                    invocation reports a single hit/miss/wall summary.
@@ -44,25 +44,19 @@ class Orchestrator:
                    executing elsewhere are awaited instead of
                    recomputed.
     ``executor`` — an executor object (``run``/``run_iter`` over
-                   ``(index, cell_dict)`` items); None picks
-                   :class:`SerialExecutor` or :class:`PoolExecutor`
-                   from ``jobs``, preserving the historical behaviour.
+                   ``(index, cell_dict)`` items); None means
+                   :class:`SerialExecutor`.  Commands get theirs
+                   from :func:`~repro.orchestrate.executor.open_executor`.
     """
 
-    def __init__(self, jobs: int = 1,
-                 cache: Optional[ResultCache] = None,
+    def __init__(self, cache: Optional[ResultCache] = None,
                  telemetry: Optional[Telemetry] = None,
                  coalescer: Optional[InflightCoalescer] = None,
                  executor: Optional[Any] = None) -> None:
-        if jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {jobs}")
-        self.jobs = jobs
         self.cache = cache
         self.telemetry = telemetry if telemetry is not None else Telemetry()
         self.coalescer = coalescer
-        if executor is None:
-            executor = PoolExecutor(jobs) if jobs > 1 else SerialExecutor()
-        self.executor = executor
+        self.executor = executor if executor is not None else SerialExecutor()
 
     def run(self, cells: List[Cell]) -> List[Any]:
         """Execute (or replay) every cell; payloads in cell order."""

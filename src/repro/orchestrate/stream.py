@@ -3,22 +3,24 @@
 ``Orchestrator.run_iter`` yields ``(index, payload)`` in completion
 order; every merge in ``repro.experiments`` is defined over payloads
 in **plan order**.  :func:`fold_ordered` bridges the two without
-materialising the payload list: out-of-order arrivals wait in a small
+materialising the payload list: out-of-order arrivals wait in a
 buffer, and each payload is folded into the accumulator (and dropped)
 the moment the in-order cursor reaches it.
 
-Memory contract: the resident set is the accumulator plus the buffer,
-and the buffer can never exceed the executor's effective concurrency
-(a worker can only run ahead of the slowest in-flight cell by the
-number of workers).  ``FoldStats.peak_buffered`` reports the high-water
-mark so tests can pin the bound — a 10,000-cell sweep folds with O(1)
-resident payloads, not O(n).
+Memory contract: the resident set is the accumulator plus the buffer
+of payloads that arrived ahead of the cursor.  A serial stream arrives
+in order, so the buffer stays empty and a 10,000-cell sweep folds with
+O(1) resident payloads.  A parallel executor submits every cell up
+front, so while a slow cell holds the cursor the other workers can
+finish every later cell: the buffer then holds up to n - 1 of n
+payloads.  ``FoldStats.peak_buffered`` reports the high-water mark so
+tests can pin both cases.
 
 ``available`` plugs cross-run reuse in: an object answering
 ``index in available`` / ``available[index]`` (for example a lazy view
 over a previous sweep's manifest) supplies payloads for cells that
 did not need re-executing, loaded only when the cursor reaches them
-and dropped after folding, so reuse keeps the same O(1) bound.
+and dropped after folding, so reuse adds nothing to the buffer.
 """
 
 from dataclasses import dataclass

@@ -41,6 +41,7 @@ from repro.orchestrate import (
     Orchestrator,
     ResultCache,
     Telemetry,
+    open_executor,
 )
 from repro.serve.metrics import ServerMetrics
 from repro.serve.model import (
@@ -190,18 +191,6 @@ class ServeApp:
                     self.registry.add_cell_event(
                         record, cell.name, cell.cached, cell.elapsed,
                         position, total))
-            executor = None
-            if self.worker_address is not None:
-                from repro.distrib import DistribExecutor
-
-                executor = DistribExecutor(self.worker_address)
-            orchestrator = Orchestrator(
-                jobs=request.jobs,
-                cache=None if request.no_cache else self.cache,
-                telemetry=telemetry,
-                coalescer=self.coalescer,
-                executor=executor,
-            )
             # The policy kwarg is only passed when non-default so
             # custom (scale, seed)-only planners keep working.
             if request.policy != "baseline":
@@ -211,7 +200,15 @@ class ServeApp:
             else:
                 plan = self.targets[request.target](SCALES[request.scale],
                                                     request.seed)
-            payloads = orchestrator.run(plan.cells)
+            with open_executor(request.jobs, self.worker_address,
+                               telemetry.executor_fallback) as executor:
+                orchestrator = Orchestrator(
+                    cache=None if request.no_cache else self.cache,
+                    telemetry=telemetry,
+                    coalescer=self.coalescer,
+                    executor=executor,
+                )
+                payloads = orchestrator.run(plan.cells)
             report = plan.render(payloads)
             if telemetry.fallbacks:
                 self.metrics.executor_fallbacks(len(telemetry.fallbacks))

@@ -43,8 +43,8 @@ SERVE_METRIC_SPECS = [
                "Requests that joined an identical in-flight run "
                "instead of executing."),
     MetricSpec("satr_executor_fallbacks_total", "counter",
-               "Cells that fell back to in-process serial execution "
-               "because a pool or worker-pool executor degraded."),
+               "Announced executor fallbacks: times a warm-worker "
+               "executor degraded to running cells in-process."),
     MetricSpec("satr_serve_workers_alive", "gauge",
                "Live processes in the attached warm-worker pool "
                "(0 when no pool is attached or it is unreachable)."),

@@ -3,7 +3,9 @@
 Booting a full-calibration Android runtime takes ~2s, so tests that
 only *read* runtime state share session-scoped boots; tests that mutate
 (fork apps, run traces) either use the small calibration or build their
-own kernel.
+own kernel.  The serial-vs-parallel tests share one 2-worker local
+pool (``warm_workers``), so its workers keep their boot images across
+tests as they do across one command's targets.
 """
 
 import pytest
@@ -76,3 +78,19 @@ def full_stock_runtime_readonly():
     """Full-calibration stock runtime; DO NOT mutate in tests."""
     kernel = make_kernel("stock")
     return boot_android(kernel)
+
+
+@pytest.fixture(scope="session")
+def warm_workers():
+    """A 2-worker local warm-worker executor for the whole test run.
+
+    Fails the requesting test if the workers could not start: a pool
+    that fell back to serial would make every serial-vs-parallel
+    comparison vacuous.
+    """
+    from repro.distrib import local_workers
+
+    fallbacks = []
+    with local_workers(2, fallbacks.append) as executor:
+        assert fallbacks == [], fallbacks
+        yield executor

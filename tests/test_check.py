@@ -277,11 +277,10 @@ class TestSemanticOracle:
 
 @pytest.mark.slow
 class TestOrchestratedCheck:
-    def test_serial_and_parallel_payloads_identical(self):
-        serial = run_check("fork", QUICK,
-                           orchestrator=Orchestrator(jobs=1))
-        parallel = run_check("fork", QUICK,
-                             orchestrator=Orchestrator(jobs=2))
+    def test_serial_and_parallel_payloads_identical(self, warm_workers):
+        serial = run_check("fork", QUICK, orchestrator=Orchestrator())
+        parallel = run_check(
+            "fork", QUICK, orchestrator=Orchestrator(executor=warm_workers))
         assert serial.payloads == parallel.payloads
         assert serial.ok
 

@@ -62,6 +62,13 @@ def sleepy_cell(params):
     return {"slept": params["seconds"]}
 
 
+def marked_sleepy_cell(params):
+    """A sleepy cell that leaves a file behind once it has started."""
+    with open(params["marker"], "w"):
+        pass
+    return sleepy_cell(params)
+
+
 def _cell(fn, cell_id, **params):
     return Cell(experiment="distrib-test", cell_id=cell_id,
                 fn=f"tests.test_distrib:{fn}", params=params)
@@ -318,3 +325,62 @@ class TestDaemonLifecycle:
     def test_live_socket_refuses_second_daemon(self, daemon):
         with pytest.raises(OSError, match="already listening"):
             WorkersDaemon(daemon.bound, workers=1, quiet=True)
+
+
+class TestLocalWorkers:
+    """``--jobs N``: a private daemon per command, cleaned up on exit."""
+
+    @pytest.fixture()
+    def spawned(self, tmp_path, monkeypatch):
+        """Every worker handle the pool spawns; temp dirs in tmp_path."""
+        import tempfile
+
+        from repro.distrib import pool
+
+        handles = []
+        original = pool.WorkerHandle.__init__
+
+        def tracked(handle):
+            original(handle)
+            handles.append(handle)
+
+        monkeypatch.setattr(pool.WorkerHandle, "__init__", tracked)
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        return handles
+
+    def test_matches_serial_and_cleans_up(self, spawned, tmp_path):
+        from repro.distrib import local_workers
+
+        items = _echo_items(6)
+        fallbacks = []
+        with local_workers(2, fallbacks.append) as executor:
+            assert isinstance(executor, DistribExecutor)
+            assert executor.address.startswith(f"unix:{tmp_path}")
+            runs = executor.run(items)
+        assert ([canonical_json(run[1]) for run in runs]
+                == [canonical_json(run[1]) for run in run_serial(items)])
+        assert fallbacks == []
+        assert len(spawned) == 2
+        assert all(handle.proc.poll() is not None for handle in spawned)
+        assert os.listdir(tmp_path) == []
+
+    def test_no_worker_outlives_a_raising_cell(self, spawned, tmp_path):
+        from repro.distrib import local_workers
+
+        markers = tmp_path / "markers"
+        markers.mkdir()
+        items = _items([_cell("failing_cell", "boom", value=1)]
+                       + [_cell("marked_sleepy_cell", f"s{n}", seconds=1.0,
+                                marker=str(markers / f"s{n}"))
+                          for n in range(6)])
+        fallbacks = []
+        with pytest.raises(ValueError, match="deliberate failure for 1"):
+            with local_workers(2, fallbacks.append) as executor:
+                list(executor.run_iter(items, fallbacks.append))
+        assert len(fallbacks) == 1 and "exception" in fallbacks[0]
+        # Only the cells already on a worker ran; the queued rest were
+        # dropped instead of holding the exit up.
+        assert len(os.listdir(markers)) <= 2
+        assert len(spawned) == 2
+        assert all(handle.proc.poll() is not None for handle in spawned)
+        assert os.listdir(tmp_path) == ["markers"]

@@ -521,15 +521,14 @@ class TestCompareReports:
 
 @pytest.mark.slow
 class TestOrchestratedMetrics:
-    def test_serial_and_parallel_payloads_identical(self):
+    def test_serial_and_parallel_payloads_identical(self, warm_workers):
         """The orchestrator contract extends to metrics cells: the
         sample series match byte for byte across executors."""
-        serial = run_metrics("fork", QUICK,
-                             orchestrator=Orchestrator(jobs=1),
+        serial = run_metrics("fork", QUICK, orchestrator=Orchestrator(),
                              every=1000)
-        parallel = run_metrics("fork", QUICK,
-                               orchestrator=Orchestrator(jobs=2),
-                               every=1000)
+        parallel = run_metrics(
+            "fork", QUICK, orchestrator=Orchestrator(executor=warm_workers),
+            every=1000)
         assert serial.payloads == parallel.payloads
         assert serial.ok
         assert json.dumps(serial.payloads, sort_keys=True) == (

@@ -6,6 +6,7 @@ the same cell list produce byte-identical rendered reports.
 
 import json
 import os
+import socket
 import threading
 import time
 
@@ -47,8 +48,13 @@ def tiny_cell(value: int = 1) -> Cell:
 
 
 def echo_cell(params):
-    """Module-level so spawn workers and resolve_cell_fn can find it."""
+    """Module-level so warm workers and resolve_cell_fn can find it."""
     return {"value": params["value"], "doubled": params["value"] * 2}
+
+
+def sleepy_echo_cell(params):
+    time.sleep(params["sleep"])
+    return {"value": params["value"]}
 
 
 # Gates for the coalescing tests: hold a leader mid-execution so a
@@ -133,9 +139,30 @@ class TestOrchestrator:
         payloads = Orchestrator().run(cells)
         assert [p["value"] for p in payloads] == [3, 1, 2]
 
-    def test_rejects_bad_jobs(self):
+    def test_rejects_bad_jobs(self, capsys):
+        from repro.distrib import local_workers
+        from repro.experiments import runner
+
         with pytest.raises(ValueError):
-            Orchestrator(jobs=0)
+            with local_workers(0):
+                pass
+        with pytest.raises(SystemExit) as exited:
+            runner.main(["table4", "--jobs", "0"])
+        assert exited.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+
+    def test_open_executor_picks_by_address_then_jobs(self):
+        from repro.distrib import DistribExecutor
+        from repro.orchestrate import SerialExecutor, open_executor
+
+        with open_executor(1) as executor:
+            assert isinstance(executor, SerialExecutor)
+        with open_executor(4, "unix:/tmp/x.sock") as executor:
+            assert isinstance(executor, DistribExecutor)
+            assert executor.address == "unix:/tmp/x.sock"
+        with open_executor(2) as executor:
+            assert isinstance(executor, DistribExecutor)
+            assert executor.address.endswith("/pool.sock")
 
     def test_cache_round_trip(self, tmp_path):
         cache = ResultCache(str(tmp_path))
@@ -388,13 +415,13 @@ class TestExperimentCells:
 
 @pytest.mark.slow
 class TestSerialParallelEquality:
-    """The ISSUE acceptance bar: --jobs N output == --jobs 1 output."""
+    """The determinism bar: --jobs N output == --jobs 1 output."""
 
-    def test_table4_quick_scale(self, tmp_path):
+    def test_table4_quick_scale(self, tmp_path, warm_workers):
         serial = run_target("table4", QUICK, RunContext(Orchestrator()))
         parallel = run_target(
             "table4", QUICK,
-            RunContext(Orchestrator(jobs=4,
+            RunContext(Orchestrator(executor=warm_workers,
                                     cache=ResultCache(str(tmp_path)))))
         assert parallel == serial
         # ... and a warm-cache replay still matches, byte for byte.
@@ -403,10 +430,10 @@ class TestSerialParallelEquality:
             RunContext(Orchestrator(cache=ResultCache(str(tmp_path)))))
         assert replay == serial
 
-    def test_launch_quick_scale(self):
+    def test_launch_quick_scale(self, warm_workers):
         serial = run_target("launch", QUICK, RunContext(Orchestrator()))
         parallel = run_target("launch", QUICK,
-                              RunContext(Orchestrator(jobs=4)))
+                              RunContext(Orchestrator(executor=warm_workers)))
         assert parallel == serial
 
 
@@ -467,114 +494,124 @@ class TestCountersFieldIteration:
             counters.delta_since(Counters())
 
 
+class _HangUpDaemon:
+    """A fake ``satr workers`` daemon that hangs up after k results.
+
+    It greets like the real daemon, reads all ``expected`` run frames,
+    answers the first ``k`` of them (computed in-process), then closes
+    the connection with the rest unanswered.
+    """
+
+    def __init__(self, path, expected, k):
+        from repro.distrib import PROTOCOL_VERSION
+
+        self.protocol = PROTOCOL_VERSION
+        self.expected, self.k = expected, k
+        self.address = f"unix:{path}"
+        self.listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        self.listener.bind(path)
+        self.listener.listen(1)
+        self.thread = threading.Thread(target=self._serve, daemon=True)
+        self.thread.start()
+
+    def _serve(self):
+        from repro.distrib import read_frame, write_frame
+
+        conn, _ = self.listener.accept()
+        with conn, conn.makefile("rb") as inp, conn.makefile("wb") as out:
+            read_frame(inp)  # The client's hello.
+            write_frame(out, {"type": "hello", "protocol": self.protocol})
+            runs = [read_frame(inp) for _ in range(self.expected)]
+            for frame in runs[:self.k]:
+                write_frame(out, {"type": "result", "id": frame["id"],
+                                  "payload": execute_cell(frame["cell"]),
+                                  "elapsed": 0.0})
+        self.listener.close()
+
+
 class TestExecutorFallback:
-    """The fallback ladder: broken pools degrade to serial, announced."""
+    """The fallback ladder: a lost worker pool degrades to in-process
+    execution, announced, and never changes the bytes."""
 
-    class _BreakingPool:
-        """A fake ProcessPoolExecutor that dies after k results."""
-
-        results_before_break = 2
-
-        def __init__(self, *args, **kwargs):
-            pass
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            from concurrent.futures.process import BrokenProcessPool
-
-            def generate():
-                for position, item in enumerate(items):
-                    if position >= self.results_before_break:
-                        raise BrokenProcessPool("worker died")
-                    yield fn(item)
-            return generate()
-
-        def submit(self, fn, item):
-            from concurrent.futures import Future
-            from concurrent.futures.process import BrokenProcessPool
-
-            future = Future()
-            if self._submitted >= self.results_before_break:
-                future.set_exception(BrokenProcessPool("worker died"))
-            else:
-                future.set_result(fn(item))
-            type(self)._submitted += 1
-            return future
-
-        _submitted = 0
-
-    def test_partial_failure_matches_serial_bytes(self, monkeypatch):
-        """Satellite: a pool that breaks after k results must still
-        yield the same ordered byte-identical payload list as serial."""
-        import concurrent.futures
-
+    def test_partial_failure_matches_serial_bytes(self, tmp_path):
+        """A pool that hangs up after k of n results must still yield
+        the same ordered byte-identical payload list as serial."""
+        from repro.distrib import DistribExecutor
         from repro.orchestrate import canonical_json
-        from repro.orchestrate.executor import run_parallel, run_serial
+        from repro.orchestrate.executor import run_serial
 
         cells = [tiny_cell(v) for v in (5, 1, 4, 2, 3)]
         items = [(i, c.to_dict()) for i, c in enumerate(cells)]
         serial = run_serial(items)
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                            self._BreakingPool)
+        daemon = _HangUpDaemon(str(tmp_path / "hangup.sock"), 5, k=2)
         fallbacks = []
-        broken = run_parallel(items, jobs=4, on_fallback=fallbacks.append)
+        broken = DistribExecutor(daemon.address).run(
+            items, on_fallback=fallbacks.append)
         assert [run[0] for run in broken] == [run[0] for run in serial]
         assert ([canonical_json(run[1]) for run in broken]
                 == [canonical_json(run[1]) for run in serial])
         assert len(fallbacks) == 1
         assert "3 remaining cells" in fallbacks[0]
 
-    def test_orchestrator_records_fallback_in_telemetry(self, monkeypatch):
-        """The invisible-RuntimeWarning satellite: pool degradation
-        lands in Telemetry.fallbacks and the summary line."""
-        import concurrent.futures
+    def test_orchestrator_records_fallback_in_telemetry(self, tmp_path):
+        """Pool degradation lands in Telemetry.fallbacks and the
+        summary line, not in a bare RuntimeWarning."""
+        from repro.distrib import DistribExecutor
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                            self._BreakingPool)
+        daemon = _HangUpDaemon(str(tmp_path / "hangup.sock"), 4, k=2)
         lines = []
         telemetry = Telemetry(progress=lines.append)
-        orch = Orchestrator(jobs=4, telemetry=telemetry)
+        orch = Orchestrator(telemetry=telemetry,
+                            executor=DistribExecutor(daemon.address))
         cells = [tiny_cell(v) for v in range(4)]
         payloads = orch.run(cells)
         assert [p["value"] for p in payloads] == [0, 1, 2, 3]
         assert len(telemetry.fallbacks) == 1
+        assert "2 remaining cells" in telemetry.fallbacks[0]
         assert any("[executor] fallback:" in line for line in lines)
         assert "1 executor fallback" in telemetry.summary()
 
-    def test_no_hook_still_warns(self, monkeypatch):
-        """Without a hook the old RuntimeWarning behaviour survives."""
-        import concurrent.futures
+    def test_no_hook_still_warns(self, tmp_path):
+        """Without a hook a degradation is a RuntimeWarning, not silent."""
         import warnings
 
-        from repro.orchestrate.executor import run_parallel
+        from repro.distrib import DistribExecutor
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                            self._BreakingPool)
+        executor = DistribExecutor(f"unix:{tmp_path}/nobody-home.sock",
+                                   connect_timeout=1.0)
         items = [(i, tiny_cell(i).to_dict()) for i in range(3)]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            run_parallel(items, jobs=2)
-        assert any(issubclass(w.category, RuntimeWarning) for w in caught)
+            runs = executor.run(items)
+        assert [run[1]["value"] for run in runs] == [0, 1, 2]
+        assert [str(w.message) for w in caught
+                if issubclass(w.category, RuntimeWarning)
+                and "unreachable" in str(w.message)]
 
-    def test_make_executor_kinds(self):
-        from repro.orchestrate import (PoolExecutor, SerialExecutor,
-                                       make_executor)
+    def test_silent_workers_fall_back_to_serial(self, tmp_path,
+                                                monkeypatch):
+        """Local workers that never say hello: the run goes serial,
+        announced once, and no temp directory is left behind."""
+        import sys
+        import tempfile
 
-        assert isinstance(make_executor("serial"), SerialExecutor)
-        pool = make_executor("pool", jobs=3)
-        assert isinstance(pool, PoolExecutor) and pool.jobs == 3
-        distrib = make_executor("distrib", address="unix:/tmp/x.sock")
-        assert distrib.address == "unix:/tmp/x.sock"
-        with pytest.raises(ValueError, match="worker-pool address"):
-            make_executor("distrib")
-        with pytest.raises(ValueError, match="unknown executor"):
-            make_executor("threads")
+        from repro.distrib import local_workers, pool
+        from repro.orchestrate import SerialExecutor
+
+        monkeypatch.setattr(pool, "worker_command",
+                            lambda: [sys.executable, "-c", "pass"])
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        telemetry = Telemetry()
+        with local_workers(2, telemetry.executor_fallback) as executor:
+            assert isinstance(executor, SerialExecutor)
+            payloads = Orchestrator(telemetry=telemetry,
+                                    executor=executor).run(
+                [tiny_cell(v) for v in range(3)])
+        assert [p["value"] for p in payloads] == [0, 1, 2]
+        assert len(telemetry.fallbacks) == 1
+        assert "local workers unavailable" in telemetry.fallbacks[0]
+        assert os.listdir(tmp_path) == []
 
 
 class TestRunIterAndFolds:
@@ -600,6 +637,25 @@ class TestRunIterAndFolds:
         assert values == list(range(6))
         assert stats.peak_buffered == 0
         assert stats.folded == 6 and stats.reused == 0
+
+    def test_run_iter_parallel_buffer_reaches_n_minus_1(self,
+                                                        warm_workers):
+        """The parallel bound is n - 1, not the worker count: every
+        cell is submitted up front, so while a slow first cell runs on
+        one worker the other finishes all the rest ahead of it."""
+        from repro.orchestrate import FoldStats, fold_ordered
+
+        cells = [Cell(experiment="sleepy", cell_id=f"v{v}",
+                      fn="tests.test_orchestrate:sleepy_echo_cell",
+                      params={"value": v, "sleep": 1.5 if v == 0 else 0})
+                 for v in range(6)]
+        stats = FoldStats()
+        values = fold_ordered(
+            Orchestrator(executor=warm_workers).run_iter(cells),
+            lambda acc, index, payload: acc + [payload["value"]],
+            [], total=len(cells), stats=stats)
+        assert values == list(range(6))
+        assert stats.peak_buffered == len(cells) - 1
 
     def test_run_iter_hits_cache(self, tmp_path):
         cache = ResultCache(str(tmp_path))

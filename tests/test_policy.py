@@ -11,8 +11,8 @@ The load-bearing guarantees:
   park/revive ledger balances (the invariant checker enforces both);
 * replicated-pt redirects remote-node walks and counts write-coherence
   traffic on every PTE-update path;
-* ``satr compare`` produces byte-identical matrices serially, on a
-  process pool, and out of a warm cache.
+* ``satr compare`` produces byte-identical matrices serially, on warm
+  workers, and out of a warm cache.
 """
 
 from types import SimpleNamespace
@@ -403,7 +403,8 @@ class TestCompare:
         assert "replicated-pt" in rendered
 
     @pytest.mark.slow
-    def test_serial_pool_and_cache_byte_identical(self, tmp_path):
+    def test_serial_pool_and_cache_byte_identical(self, tmp_path,
+                                                  warm_workers):
         serial = compare.run_compare(
             ["fork"], ["baseline", "victima"], QUICK,
             orchestrator=Orchestrator(
@@ -411,7 +412,8 @@ class TestCompare:
         pooled = compare.run_compare(
             ["fork"], ["baseline", "victima"], QUICK,
             orchestrator=Orchestrator(
-                jobs=2, cache=ResultCache(str(tmp_path / "b"))))
+                executor=warm_workers,
+                cache=ResultCache(str(tmp_path / "b"))))
         assert serial.to_json() == pooled.to_json()
         assert serial.render() == pooled.render()
         # Warm replay out of the serial run's cache: all hits, same bytes.

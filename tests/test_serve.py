@@ -75,6 +75,18 @@ def _planner(fn_name, tag):
     return planner
 
 
+def _multi_planner(count):
+    """A planner of ``count`` echo cells (a parallel run has work)."""
+    def planner(scale, seed):
+        cells = [Cell(
+            experiment="multi", cell_id=f"{scale.name}-{seed}-{n}",
+            fn="tests.test_serve:echo_cell",
+            params={"tag": f"multi-{n}", "seed": seed, "scale": scale.name},
+        ) for n in range(count)]
+        return TargetPlan(cells, lambda ps: json.dumps(ps, sort_keys=True))
+    return planner
+
+
 FAKE_TARGETS = {
     "fork": _planner("echo_cell", "fork"),
     "launch": _planner("echo_cell", "launch"),
@@ -636,6 +648,30 @@ class TestWorkerPoolIntegration:
         finally:
             daemon.drain()
             pool_thread.join(timeout=30)
+
+    def test_multi_job_run_matches_single_job(self):
+        """A run with "jobs": 2 executes on two local warm workers (no
+        cell runs in the server process) and returns the same report
+        bytes as a "jobs": 1 run, with no fallback."""
+        del _EXECUTIONS[:]
+        reports, fallbacks, in_server = {}, {}, {}
+        for jobs in (2, 1):
+            app = ServeApp(cache=None, workers=1,
+                           targets={"fork": _multi_planner(4)})
+            app.start()
+            record, _ = app.submit(RunRequest(target="fork", scale="quick",
+                                              seed=3, jobs=jobs))
+            app.registry.wait_finished(record)
+            assert record.state == "done", record.error
+            reports[jobs] = record.report
+            fallbacks[jobs] = app.metrics.snapshot()[
+                "satr_executor_fallbacks_total"]
+            in_server[jobs] = len(_EXECUTIONS)
+            del _EXECUTIONS[:]
+            app.drain(timeout=10)
+        assert reports[2] == reports[1]
+        assert fallbacks == {2: 0, 1: 0}
+        assert in_server == {2: 0, 1: 4}
 
     def test_dead_pool_counts_fallbacks_and_still_serves(self, tmp_path):
         """A serve pointed at a dead pool degrades to in-process

@@ -339,13 +339,12 @@ class TestAggregation:
 
 @pytest.mark.slow
 class TestOrchestratedTrace:
-    def test_serial_and_parallel_payloads_identical(self):
+    def test_serial_and_parallel_payloads_identical(self, warm_workers):
         """The orchestrator contract extends to trace cells: summaries,
         counters, agreement, and raw events match across executors."""
-        serial = run_trace("fork", QUICK,
-                           orchestrator=Orchestrator(jobs=1))
-        parallel = run_trace("fork", QUICK,
-                             orchestrator=Orchestrator(jobs=2))
+        serial = run_trace("fork", QUICK, orchestrator=Orchestrator())
+        parallel = run_trace(
+            "fork", QUICK, orchestrator=Orchestrator(executor=warm_workers))
         assert serial.payloads == parallel.payloads
         assert serial.all_agree
 
