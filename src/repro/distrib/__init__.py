@@ -7,9 +7,10 @@ once and then loop on length-prefixed canonical-JSON frames
 (:mod:`repro.distrib.client`) plugs into the orchestrator beside the
 in-process serial executor; it is the one parallel backend.
 ``--workers-at`` / ``$SATR_WORKERS`` selects an external daemon, and
-``--jobs N > 1`` starts N :func:`local_workers`
-(:mod:`repro.distrib.local`) for the command; ``--jobs 1`` stays
-in-process (``repro.orchestrate.open_executor`` holds the rule).
+``--jobs N > 1`` holds N :func:`local_workers`
+(:mod:`repro.distrib.local`) for the command, started by its first
+batch with misses; ``--jobs 1`` stays in-process
+(``repro.orchestrate.open_executor`` holds the rule).
 Byte-identity with serial execution is the contract; every failure
 mode degrades toward in-process execution.
 
@@ -23,7 +24,7 @@ from repro.distrib.client import (
     pool_alive,
 )
 from repro.distrib.daemon import DEFAULT_SOCKET, WorkersDaemon, run_daemon
-from repro.distrib.local import local_workers
+from repro.distrib.local import LocalWorkers, local_workers
 from repro.distrib.pool import WorkerPool, WorkerStartupError
 from repro.distrib.protocol import (
     PROTOCOL_VERSION,
@@ -38,6 +39,7 @@ from repro.distrib.protocol import (
 __all__ = [
     "DEFAULT_SOCKET",
     "DistribExecutor",
+    "LocalWorkers",
     "PROTOCOL_VERSION",
     "ProtocolError",
     "WORKERS_ENV",

@@ -24,7 +24,7 @@ counter can see it; without a callback it is a ``RuntimeWarning``.
 
 import json
 import socket
-from typing import Any, Dict, Iterable, Iterator, List, Optional
+from typing import Any, Dict, Iterable, Iterator, Optional
 
 from repro import __version__
 from repro.distrib import protocol
@@ -124,9 +124,8 @@ class _Connection:
 class DistribExecutor:
     """The warm-pool executor: same shape as ``SerialExecutor``.
 
-    ``run``/``run_iter`` take ``(index, cell_dict)`` items; ``run``
-    returns ``(index, payload, elapsed)`` in input order, ``run_iter``
-    yields them in **completion order** for streaming merges.
+    ``run_iter`` takes ``(index, cell_dict)`` items and yields
+    ``(index, payload, elapsed)`` in **completion order**.
     """
 
     def __init__(self, address: str,
@@ -140,15 +139,9 @@ class DistribExecutor:
 
     # -- the executor surface -------------------------------------------
 
-    def run(self, items: List[WorkItem],
-            on_fallback: FallbackHook = None) -> List[CellRun]:
-        """All cells, results in input order (the ``run`` contract)."""
-        by_index = {run[0]: run for run in self.run_iter(items, on_fallback)}
-        return [by_index[index] for index, _ in items]
-
     def run_iter(self, items: Iterable[WorkItem],
                  on_fallback: FallbackHook = None) -> Iterator[CellRun]:
-        """Cells as they complete — the streaming-merge feed."""
+        """Cells as they complete."""
         pending: Dict[int, WorkItem] = {item[0]: item for item in items}
         if not pending:
             return

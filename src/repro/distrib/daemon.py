@@ -52,6 +52,12 @@ class WorkersDaemon:
         self.pool = WorkerPool(workers, cell_timeout=cell_timeout,
                                log=self.log)
         self.listener = protocol.bind(address)
+        # drain() shuts the listener down, which wakes a blocked accept
+        # on Linux (closing it from another thread does not); the
+        # timeout is the backstop where shutdown does not wake it.  It
+        # is set here, not in serve_forever, because a drain can close
+        # the listener before the serving thread first runs.
+        self.listener.settimeout(0.5)
         self.bound = protocol.bound_address(self.listener)
         self._draining = threading.Event()
         self._clients: Dict[int, socket.socket] = {}
@@ -73,25 +79,24 @@ class WorkersDaemon:
 
     def serve_forever(self) -> None:
         """Accept until drain; returns after the pool has emptied."""
-        # drain() shuts the listener down, which wakes a blocked accept
-        # on Linux (closing it from another thread does not); the
-        # timeout is the backstop where shutdown does not wake it.
-        self.listener.settimeout(0.5)
-        while not self._draining.is_set():
-            try:
-                conn, _ = self.listener.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                break  # The listener was closed by drain().
-            with self._clients_lock:
-                self._client_seq += 1
-                cid = self._client_seq
-                self._clients[cid] = conn
-            threading.Thread(target=self._client_loop, args=(cid, conn),
-                             name=f"satr-workers-client-{cid}",
-                             daemon=True).start()
-        self.pool.shutdown()
+        try:
+            while not self._draining.is_set():
+                try:
+                    conn, _ = self.listener.accept()
+                except socket.timeout:
+                    continue
+                except OSError:
+                    break  # The listener was closed by drain().
+                with self._clients_lock:
+                    self._client_seq += 1
+                    cid = self._client_seq
+                    self._clients[cid] = conn
+                threading.Thread(target=self._client_loop,
+                                 args=(cid, conn),
+                                 name=f"satr-workers-client-{cid}",
+                                 daemon=True).start()
+        finally:
+            self.pool.shutdown()
         self.log("drained; all workers stopped")
 
     def drain(self) -> None:
@@ -113,6 +118,9 @@ class WorkersDaemon:
 
     def _client_loop(self, cid: int, conn: socket.socket) -> None:
         write_lock = threading.Lock()
+        # Set when this connection ends, so the pool skips the cells
+        # it queued and no worker runs them for nobody.
+        gone = threading.Event()
         stream_in = conn.makefile("rb")
         stream_out = conn.makefile("wb")
 
@@ -128,9 +136,10 @@ class WorkersDaemon:
                     break
                 if frame is None:
                     break
-                if not self._handle(cid, frame, reply):
+                if not self._handle(cid, frame, reply, gone):
                     break
         finally:
+            gone.set()
             with self._clients_lock:
                 self._clients.pop(cid, None)
             for stream in (stream_out, stream_in):
@@ -143,8 +152,8 @@ class WorkersDaemon:
             except OSError:
                 pass
 
-    def _handle(self, cid: int, frame: Any,
-                reply: Any) -> bool:
+    def _handle(self, cid: int, frame: Any, reply: Any,
+                gone: threading.Event) -> bool:
         """Dispatch one client frame; False ends the connection."""
         kind = frame.get("type") if isinstance(frame, dict) else None
         try:
@@ -172,7 +181,8 @@ class WorkersDaemon:
                     return True
                 try:
                     self.pool.submit(frame["cell"], frame.get("id"),
-                                     reply, timeout=frame.get("timeout"))
+                                     reply, timeout=frame.get("timeout"),
+                                     gone=gone)
                 except RuntimeError:
                     reply({"type": "error", "id": frame.get("id"),
                            "kind": "unavailable",

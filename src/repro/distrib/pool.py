@@ -56,6 +56,9 @@ class Task:
     client_id: Any
     retries_left: int = 1
     retried: int = 0
+    #: Set once the client connection has closed: nobody would read
+    #: the answer, so the dispatcher skips the task.
+    gone: Optional[threading.Event] = None
 
 
 class WorkerStartupError(RuntimeError):
@@ -245,8 +248,13 @@ class WorkerPool:
 
     def submit(self, cell: Dict[str, Any], client_id: Any,
                reply: Callable[[Dict[str, Any]], None],
-               timeout: Optional[float] = None) -> None:
-        """Queue one cell; ``reply`` gets the result/error frame."""
+               timeout: Optional[float] = None,
+               gone: Optional[threading.Event] = None) -> None:
+        """Queue one cell; ``reply`` gets the result/error frame.
+
+        ``gone`` is the client connection's closed mark: a task whose
+        mark is set when a dispatcher reaches it is dropped unrun.
+        """
         with self._lock:
             if self._draining:
                 raise RuntimeError("pool is draining")
@@ -256,7 +264,7 @@ class WorkerPool:
             gid=gid, cell=cell,
             timeout=timeout if timeout is not None else self.cell_timeout,
             reply=reply, client_id=client_id,
-            retries_left=self.max_retries))
+            retries_left=self.max_retries, gone=gone))
 
     # -- observability --------------------------------------------------
 
@@ -323,6 +331,8 @@ class WorkerPool:
                     handle.stop()
                     self._handles[slot] = None
                 return
+            if task.gone is not None and task.gone.is_set():
+                continue
             with self._lock:
                 self._busy += 1
             try:

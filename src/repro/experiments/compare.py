@@ -28,7 +28,7 @@ from repro.experiments.observed import (
     target_configs,
 )
 from repro.metrics import Sampler
-from repro.orchestrate import Cell, FoldStats, Orchestrator, fold_ordered
+from repro.orchestrate import Cell, Orchestrator
 from repro.policy import policy_class, policy_names
 
 #: Default matrix axes: two workloads x every registered policy.
@@ -109,66 +109,6 @@ def compare_cells(targets: Sequence[str], policies: Sequence[str],
 # Merge / report.
 # ---------------------------------------------------------------------------
 
-def payload_row(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """The reduced row one ranked table needs from one payload.
-
-    This is the streaming fold's unit of residency: everything the
-    render and the ok-check read, nothing else — a folded compare run
-    keeps one of these per matrix cell and drops the payload itself.
-    """
-    events = sorted(payload["policy_events"].items(),
-                    key=lambda kv: (-kv[1], kv[0]))
-    return {
-        "target": payload["target"],
-        "policy": payload["policy"],
-        "gauges": payload["gauges"],
-        "top_events": ", ".join(f"{kind}:{count}"
-                                for kind, count in events[:3]),
-        "ran": payload["events_total"] > 0 and bool(payload["gauges"]),
-    }
-
-
-def _rank_rows(rows: List[Dict[str, Any]],
-               target: str) -> List[Dict[str, Any]]:
-    """One target's reduced rows, ranked by walk cycles (best first)."""
-    mine = [row for row in rows if row["target"] == target]
-    return sorted(mine, key=lambda row: (row["gauges"]["walk_cycles"],
-                                         row["policy"]))
-
-
-def render_ranked_tables(targets: Sequence[str],
-                         rows: List[Dict[str, Any]]) -> str:
-    """Per-target ranked tables from reduced rows.
-
-    Shared by the buffered :class:`CompareResult` and the streaming
-    fold, so both paths render byte-identically by construction.
-    """
-    blocks: List[str] = []
-    for target in targets:
-        ranked = _rank_rows(rows, target)
-        table_rows = []
-        for rank, row in enumerate(ranked, start=1):
-            gauges = row["gauges"]
-            table_rows.append([
-                str(rank),
-                row["policy"],
-                f"{gauges['tlb_miss_rate']:.4f}",
-                f"{gauges['walk_cycles']:.0f}",
-                str(gauges["pagetable_bytes"]),
-                f"{gauges['sharing_ratio']:.3f}",
-                row["top_events"],
-            ])
-        config = OBSERVED_CONFIGS[target][0]
-        blocks.append(format_table(
-            ["#", "Policy"] + [h for _, h in GAUGE_COLUMNS]
-            + ["Policy events (top)"],
-            table_rows,
-            title=(f"Compare: {target} [{config}] — policies ranked "
-                   f"by walk cycles (lower is better)"),
-        ))
-    return "\n\n".join(blocks)
-
-
 @dataclass
 class CompareResult:
     """The full matrix: every policy's gauges under every target."""
@@ -202,8 +142,32 @@ class CompareResult:
 
     def render(self) -> str:
         """Per-target ranked tables with each policy's own counters."""
-        return render_ranked_tables(
-            self.targets, [payload_row(p) for p in self.payloads])
+        blocks: List[str] = []
+        for target in self.targets:
+            table_rows = []
+            for rank, row in enumerate(self.rows_for(target), start=1):
+                gauges = row["gauges"]
+                events = sorted(row["policy_events"].items(),
+                                key=lambda kv: (-kv[1], kv[0]))
+                table_rows.append([
+                    str(rank),
+                    row["policy"],
+                    f"{gauges['tlb_miss_rate']:.4f}",
+                    f"{gauges['walk_cycles']:.0f}",
+                    str(gauges["pagetable_bytes"]),
+                    f"{gauges['sharing_ratio']:.3f}",
+                    ", ".join(f"{kind}:{count}"
+                              for kind, count in events[:3]),
+                ])
+            config = OBSERVED_CONFIGS[target][0]
+            blocks.append(format_table(
+                ["#", "Policy"] + [h for _, h in GAUGE_COLUMNS]
+                + ["Policy events (top)"],
+                table_rows,
+                title=(f"Compare: {target} [{config}] — policies ranked "
+                       f"by walk cycles (lower is better)"),
+            ))
+        return "\n\n".join(blocks)
 
     def to_json(self) -> str:
         """Canonical JSON (sorted keys) — byte-stable across job counts."""
@@ -217,25 +181,6 @@ class CompareResult:
         ) + "\n"
 
 
-@dataclass
-class CompareSummary:
-    """A streamed compare run: reduced rows only, payloads long gone."""
-
-    targets: List[str]
-    policies: List[str]
-    rows: List[Dict[str, Any]]
-    #: Fold receipts (peak buffered payloads etc.), for tests/reporting.
-    stats: Optional[FoldStats] = None
-
-    @property
-    def ok(self) -> bool:
-        return (len(self.rows) == len(self.targets) * len(self.policies)
-                and all(row["ran"] for row in self.rows))
-
-    def render(self) -> str:
-        return render_ranked_tables(self.targets, self.rows)
-
-
 def run_compare(targets: Sequence[str] = DEFAULT_COMPARE_TARGETS,
                 policies: Optional[Sequence[str]] = None,
                 scale: Scale = DEFAULT,
@@ -247,30 +192,3 @@ def run_compare(targets: Sequence[str] = DEFAULT_COMPARE_TARGETS,
     cells = compare_cells(targets, policies, scale, seed)
     return CompareResult(targets=list(targets), policies=list(policies),
                          payloads=orchestrator.run(cells))
-
-
-def run_compare_stream(targets: Sequence[str] = DEFAULT_COMPARE_TARGETS,
-                       policies: Optional[Sequence[str]] = None,
-                       scale: Scale = DEFAULT,
-                       orchestrator: Optional[Orchestrator] = None,
-                       seed: int = DEFAULT_SEED) -> CompareSummary:
-    """The streaming merge: fold payloads into reduced rows as cells
-    complete, so the matrix's memory cost is rows, not payloads.
-
-    Renders byte-identically to :meth:`CompareResult.render` — both go
-    through :func:`render_ranked_tables`.
-    """
-    policies = list(policies) if policies else list(policy_names())
-    orchestrator = orchestrator or Orchestrator()
-    cells = compare_cells(targets, policies, scale, seed)
-    stats = FoldStats()
-
-    def fold(rows: List[Dict[str, Any]], index: int,
-             payload: Dict[str, Any]) -> List[Dict[str, Any]]:
-        rows.append(payload_row(payload))
-        return rows
-
-    rows = fold_ordered(orchestrator.run_iter(cells), fold, [],
-                        total=len(cells), stats=stats)
-    return CompareSummary(targets=list(targets), policies=list(policies),
-                          rows=rows, stats=stats)

@@ -11,11 +11,11 @@ Usage::
 
 Every target is planned as a list of deterministic cells plus a pure
 merge (see :mod:`repro.orchestrate`), so ``--jobs N`` runs cells on N
-local warm workers (held for the whole command, so they keep their
-boot images across targets) and a warm result cache replays them,
-with byte-identical reports either way.  Reports go to stdout;
-timing, progress and the cache hit/miss summary go to stderr, so
-stdout stays comparable across runs.
+local warm workers (started by the command's first cache miss and
+held to its end, so they keep their boot images across targets) and a
+warm result cache replays them, with byte-identical reports either
+way.  Reports go to stdout; timing, progress and the cache hit/miss
+summary go to stderr, so stdout stays comparable across runs.
 
 The ``trace`` subcommand records structured kernel events while one of
 the workloads runs and exports them::
@@ -76,8 +76,8 @@ exporting ``$SATR_WORKERS``), which takes precedence over ``--jobs``::
     satr compare --scale quick --workers-at unix:/tmp/satr.sock
     SATR_WORKERS=unix:/tmp/satr.sock satr all --scale quick
 
-The ``sweep`` subcommand streams a target's cells into a JSONL
-manifest (O(1) resident payloads when run serially), and ``--since``
+The ``sweep`` subcommand writes a target's cells into a JSONL
+manifest, one payload line per cell in plan order, and ``--since``
 re-executes only cells whose config digest changed since a previous
 manifest::
 
@@ -97,7 +97,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Tuple
 
 from repro.experiments import ablations, fork, ipc, launch, motivation, steady
 from repro.experiments.common import (
@@ -112,7 +112,6 @@ from repro.orchestrate import (
     Orchestrator,
     ResultCache,
     Telemetry,
-    fold_ordered,
     kernel_config_fields,
     open_executor,
 )
@@ -206,36 +205,17 @@ def _join_reports(payloads: List[Dict[str, Any]]) -> str:
 
 @dataclass
 class TargetPlan:
-    """What one target needs: its cells and how to render their output.
-
-    ``fold``/``fold_initial``/``fold_render`` are the optional
-    streaming merge: when present, ``run_target`` folds payloads as
-    cells complete (via ``Orchestrator.run_iter``) instead of
-    materialising the payload list, and ``fold_render(acc)`` must
-    produce the same bytes ``render(payloads)`` would.
-    """
+    """What one target needs: its cells and how to render their output."""
 
     cells: List[Cell]
     render: Callable[[List[Any]], str]
-    fold: Optional[Callable[[Any, int, Any], Any]] = None
-    fold_initial: Optional[Callable[[], Any]] = None
-    fold_render: Optional[Callable[[Any], str]] = None
-
-
-def _join_fold(acc: List[str], index: int,
-               payload: Dict[str, Any]) -> List[str]:
-    """Streaming counterpart of ``_join_reports``: keep only the text."""
-    acc.append(payload["report"])
-    return acc
 
 
 def _rendered_planner(artefacts: List[str]) -> Callable[[Scale, int],
                                                         TargetPlan]:
     def planner(scale: Scale, seed: int) -> TargetPlan:
         return TargetPlan(rendered_cells(artefacts, scale, seed),
-                          _join_reports,
-                          fold=_join_fold, fold_initial=list,
-                          fold_render="\n\n".join)
+                          _join_reports)
     return planner
 
 
@@ -345,18 +325,9 @@ def plan_target(target: str, scale: Scale, seed: int = DEFAULT_SEED,
 
 def run_target(target: str, scale: Scale,
                ctx: RunContext = None) -> str:
-    """Run one named experiment target and return its report.
-
-    Plans that carry a streaming fold run through ``run_iter`` and
-    merge incrementally; both paths produce byte-identical reports.
-    """
+    """Run one named experiment target and return its report."""
     ctx = ctx or RunContext()
     plan = plan_target(target, scale, ctx.seed, ctx.policy)
-    if plan.fold is not None:
-        acc = fold_ordered(ctx.orchestrator.run_iter(plan.cells),
-                           plan.fold, plan.fold_initial(),
-                           total=len(plan.cells))
-        return plan.fold_render(acc)
     return plan.render(ctx.orchestrator.run(plan.cells))
 
 
@@ -379,8 +350,9 @@ def _add_exec_args(parser: argparse.ArgumentParser) -> None:
     """The executor/cache flags every cell-running subcommand shares."""
     parser.add_argument(
         "--jobs", type=_jobs, default=1, metavar="N",
-        help="cells run on N local warm workers started for this "
-             "command; 1 runs them in-process (default: 1)")
+        help="cells run on N local warm workers, started by this "
+             "command's first cache miss; 1 runs them in-process "
+             "(default: 1)")
     parser.add_argument(
         "--workers-at", default=None, metavar="ADDR",
         help="run cells on the 'satr workers' daemon at ADDR, "
@@ -401,7 +373,7 @@ def _orchestrated(args: argparse.Namespace
     """(orchestrator, telemetry) from the shared executor/cache flags.
 
     The executor lives as long as the ``with`` block, so one command's
-    local workers serve every target it runs.
+    local workers serve every target it runs after they start.
     """
     from repro.distrib import default_address
 
@@ -409,8 +381,7 @@ def _orchestrated(args: argparse.Namespace
         progress=lambda line: print(line, file=sys.stderr, flush=True))
     cache = None if args.no_cache else ResultCache(args.cache_dir)
     address = args.workers_at or default_address()
-    with open_executor(args.jobs, address,
-                       telemetry.executor_fallback) as executor:
+    with open_executor(args.jobs, address) as executor:
         yield Orchestrator(cache=cache, telemetry=telemetry,
                            executor=executor), telemetry
 
@@ -632,12 +603,10 @@ def compare_main(argv) -> int:
     scale = SCALES[args.scale]
 
     started = time.time()
-    # -o needs every payload for the JSON dump: buffered merge.
-    # Otherwise payloads fold to rows as cells complete.
-    run = compare.run_compare if args.output else compare.run_compare_stream
     with _orchestrated(args) as (orchestrator, telemetry):
-        result = run(targets, policies, scale, orchestrator=orchestrator,
-                     seed=args.seed)
+        result = compare.run_compare(targets, policies, scale,
+                                     orchestrator=orchestrator,
+                                     seed=args.seed)
     elapsed = time.time() - started
     print(f"[satr] compare: {elapsed:.1f}s", file=sys.stderr)
     print(f"=== compare (scale={scale.name}) ===")
@@ -1017,16 +986,15 @@ def cache_main(argv) -> int:
 
 
 def sweep_main(argv) -> int:
-    """The ``satr sweep`` subcommand: streaming manifest sweeps."""
+    """The ``satr sweep`` subcommand: manifest sweeps with reuse."""
     from repro.experiments import sweep
     from repro.policy import policy_names
 
     parser = argparse.ArgumentParser(
         prog="satr sweep",
-        description=("Stream one target's cells into a JSONL manifest "
+        description=("Write one target's cells into a JSONL manifest "
                      "(header + one canonical payload line per cell, "
-                     "plan order), holding O(1) payloads resident "
-                     "when run serially.  "
+                     "plan order).  "
                      "--since reuses every cell whose config digest is "
                      "unchanged from a previous manifest, re-executing "
                      "only what changed."),
@@ -1047,8 +1015,7 @@ def sweep_main(argv) -> int:
                              "silently ignored if absent)")
     parser.add_argument("--render", action="store_true",
                         help="also print the target's report from the "
-                             "written manifest (loads every payload — "
-                             "O(n) memory)")
+                             "written manifest")
     _add_exec_args(parser)
     args = parser.parse_args(argv)
     scale = SCALES[args.scale]

@@ -1,18 +1,14 @@
-"""``satr sweep``: manifest-backed streaming sweeps with cross-run reuse.
+"""``satr sweep``: manifest-backed sweeps with cross-run reuse.
 
-A sweep executes one target's cell plan through
-``Orchestrator.run_iter`` and streams every payload straight into a
-**manifest** — a JSONL file with one header line followed by one
-canonical-JSON payload line per cell, in plan order::
+A sweep executes one target's cell plan through ``Orchestrator.run``
+and writes every payload into a **manifest** — a JSONL file with one
+header line followed by one canonical-JSON payload line per cell, in
+plan order::
 
     {"kind":"satr-sweep","version":1,"target":...,"digests":[...]}
     {...payload for cell 0...}
     {...payload for cell 1...}
 
-Payloads are written (and dropped) as the in-order fold reaches them,
-so a serial 10,000-cell sweep holds O(1) payloads resident no matter
-how large the plan is; a parallel one also holds the payloads that
-finished ahead of the fold's cursor (``repro.orchestrate.stream``).
 Because payload lines are canonical JSON produced from canonical cell
 results, the manifest is byte-identical across the serial and
 warm-worker executors — the sweep-shaped restatement of the
@@ -22,9 +18,8 @@ Cross-run incremental invalidation: ``--since OLD_MANIFEST`` indexes a
 previous sweep by cell digest and **reuses** every payload whose
 digest still appears in the new plan — only cells whose config digest
 changed (new scale, new seed, new policy, new code version) are
-re-executed.  Reused payloads are copied lazily, one line at a time,
-from the old manifest's byte offsets, so reuse adds no resident
-payloads.
+re-executed.  Reused payloads are copied from the old manifest's byte
+offsets one line at a time, as the write reaches them.
 """
 
 import json
@@ -32,13 +27,7 @@ import os
 from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
-from repro.orchestrate import (
-    Cell,
-    FoldStats,
-    Orchestrator,
-    canonical_json,
-    fold_ordered,
-)
+from repro.orchestrate import Cell, Orchestrator, canonical_json
 
 MANIFEST_KIND = "satr-sweep"
 MANIFEST_VERSION = 1
@@ -104,30 +93,6 @@ class ManifestIndex:
             yield self.payload_for(digest)
 
 
-class ReuseView:
-    """``fold_ordered``'s ``available``: plan index -> old payload.
-
-    Membership is decided up front from digests (cheap); the payload
-    bytes load only when the fold's cursor arrives at the index.
-    """
-
-    def __init__(self, manifest: ManifestIndex,
-                 plan_digests: List[str]) -> None:
-        self.manifest = manifest
-        self._digest_at = {index: digest
-                           for index, digest in enumerate(plan_digests)
-                           if digest in manifest}
-
-    def __contains__(self, index: int) -> bool:
-        return index in self._digest_at
-
-    def __getitem__(self, index: int) -> Any:
-        return self.manifest.payload_for(self._digest_at[index])
-
-    def __len__(self) -> int:
-        return len(self._digest_at)
-
-
 @dataclass
 class SweepResult:
     """What one sweep did; the manifest on disk is the real output."""
@@ -138,13 +103,11 @@ class SweepResult:
     executed: int
     reused: int
     bytes_written: int
-    stats: FoldStats
 
     def render(self) -> str:
         return (
             f"sweep {self.target}: {self.total} cells "
             f"({self.executed} executed, {self.reused} reused), "
-            f"peak buffered {self.stats.peak_buffered}, "
             f"{self.bytes_written} bytes -> {self.manifest}"
         )
 
@@ -175,43 +138,27 @@ def run_sweep(target: str, cells: List[Cell], orchestrator: Orchestrator,
     readable for lazy reuse until the new one fully lands.
     """
     digests = [cell.digest() for cell in cells]
-    reuse: Optional[ReuseView] = None
-    if since is not None:
-        reuse = ReuseView(ManifestIndex(since), digests)
+    previous = ManifestIndex(since) if since is not None else None
+    to_run = [index for index, digest in enumerate(digests)
+              if previous is None or digest not in previous]
+    fresh = dict(zip(to_run,
+                     orchestrator.run([cells[index] for index in to_run])))
 
-    if reuse is not None and len(reuse) > 0:
-        to_run = [index for index in range(len(cells))
-                  if index not in reuse]
-    else:
-        to_run = list(range(len(cells)))
-    subset = [cells[index] for index in to_run]
-
-    def reindexed() -> Iterator[Tuple[int, Any]]:
-        for sub_index, payload in orchestrator.run_iter(subset):
-            yield to_run[sub_index], payload
-
-    stats = FoldStats()
     header = sweep_header(target, scale_name, seed, policy, digests)
     tmp_path = manifest_path + ".tmp"
     directory = os.path.dirname(os.path.abspath(manifest_path))
     os.makedirs(directory, exist_ok=True)
-    bytes_written = 0
     with open(tmp_path, "w", encoding="utf-8") as handle:
-        bytes_written += handle.write(canonical_json(header) + "\n")
-
-        def fold(acc: int, index: int, payload: Any) -> int:
-            # The payload's whole residency: one canonical line, written
-            # and forgotten.
-            return acc + handle.write(canonical_json(payload) + "\n")
-
-        bytes_written = fold_ordered(
-            reindexed(), fold, bytes_written, total=len(cells),
-            available=reuse, stats=stats)
+        bytes_written = handle.write(canonical_json(header) + "\n")
+        for index, digest in enumerate(digests):
+            payload = (fresh[index] if index in fresh
+                       else previous.payload_for(digest))
+            bytes_written += handle.write(canonical_json(payload) + "\n")
     os.replace(tmp_path, manifest_path)
     return SweepResult(
         manifest=manifest_path, target=target, total=len(cells),
-        executed=len(to_run), reused=stats.reused,
-        bytes_written=bytes_written, stats=stats)
+        executed=len(to_run), reused=len(cells) - len(to_run),
+        bytes_written=bytes_written)
 
 
 def load_manifest_payloads(path: str) -> List[Any]:

@@ -7,7 +7,7 @@ package turns each experiment into a list of deterministic **cells**
 cell lists through:
 
 * :class:`Orchestrator` — the façade: cache probe, executor dispatch,
-  telemetry;
+  and each cell stored and reported as it lands;
 * :mod:`~repro.orchestrate.executor` — the executor seam and the
   in-process :class:`SerialExecutor`; ``--jobs N`` runs cells on N
   warm workers through the same seam (``repro.distrib``);
@@ -37,7 +37,6 @@ from repro.orchestrate.cells import (
 )
 from repro.orchestrate.executor import SerialExecutor, open_executor
 from repro.orchestrate.orchestrator import Orchestrator
-from repro.orchestrate.stream import FoldStats, fold_ordered
 from repro.orchestrate.telemetry import CellRecord, Telemetry
 
 __all__ = [
@@ -45,13 +44,11 @@ __all__ = [
     "Cell",
     "CellRecord",
     "CoalesceError",
-    "FoldStats",
     "InflightCoalescer",
     "Orchestrator",
     "ResultCache",
     "SerialExecutor",
     "Telemetry",
-    "fold_ordered",
     "open_executor",
     "canonical_json",
     "canonicalize",

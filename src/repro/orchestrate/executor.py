@@ -1,13 +1,14 @@
 """The executor seam, and the in-process serial executor behind it.
 
-Every executor takes ``(index, cell_dict)`` work items and exposes the
-same two methods:
+An executor has one method::
 
-  run(items, on_fallback)      -> List[CellRun] in **input order**
-  run_iter(items, on_fallback) -> Iterator[CellRun] in **completion
-                                  order** (the streaming-merge feed)
+  run_iter(items, on_fallback) -> Iterator[CellRun]
 
-:class:`SerialExecutor` is the reference and the ``--jobs 1`` path.
+It takes ``(index, cell_dict)`` work items and yields one
+``(index, payload, elapsed)`` per item in **completion order**;
+``Orchestrator.run`` stores and reports each cell as it lands and puts
+the payloads back in plan order.  :class:`SerialExecutor` is the
+``--jobs 1`` path, and :func:`run_serial` is the tests' reference.
 The one parallel executor is ``repro.distrib.DistribExecutor``, over a
 ``satr workers`` daemon or over the local warm workers ``--jobs N``
 starts (``repro.distrib.local``); :func:`open_executor` holds the rule
@@ -57,13 +58,7 @@ def run_serial(items: Iterable[WorkItem]) -> List[CellRun]:
 
 
 class SerialExecutor:
-    """In-process, one cell after another.  The reference executor."""
-
-    name = "serial"
-
-    def run(self, items: List[WorkItem],
-            on_fallback: FallbackHook = None) -> List[CellRun]:
-        return run_serial(items)
+    """In-process, one cell after another, in input order."""
 
     def run_iter(self, items: Iterable[WorkItem],
                  on_fallback: FallbackHook = None) -> Iterator[CellRun]:
@@ -71,15 +66,16 @@ class SerialExecutor:
             yield _run_one(item)
 
 
-def open_executor(jobs: int, address: Optional[str] = None,
-                  on_fallback: FallbackHook = None) -> ContextManager[Any]:
+def open_executor(jobs: int,
+                  address: Optional[str] = None) -> ContextManager[Any]:
     """The executor one command or served run gets, as a context.
 
     ``address`` (``--workers-at`` / ``$SATR_WORKERS``) selects that
-    ``satr workers`` daemon.  Otherwise ``jobs > 1`` starts that many
-    local warm workers for the life of the context, and ``jobs == 1``
-    runs in-process and starts nothing.  The distrib imports are local
-    so a serial run never loads the socket layer.
+    ``satr workers`` daemon.  Otherwise ``jobs > 1`` holds that many
+    local warm workers for the life of the context, started by the
+    first batch with cells to run, and ``jobs == 1`` runs in-process
+    and starts nothing.  The distrib imports are local so a serial run
+    never loads the socket layer.
     """
     if address:
         from repro.distrib.client import DistribExecutor
@@ -89,4 +85,4 @@ def open_executor(jobs: int, address: Optional[str] = None,
         return contextlib.nullcontext(SerialExecutor())
     from repro.distrib.local import local_workers
 
-    return local_workers(jobs, on_fallback)
+    return local_workers(jobs)

@@ -6,15 +6,11 @@ and returns their payloads **in list order**:
 1. every cell's digest is probed against the result cache;
 2. the misses run through the configured executor (in-process serial,
    or warm workers: local to the command, or a ``satr workers``
-   daemon);
-3. fresh results are canonicalised (one JSON round trip) and stored.
-
-``Orchestrator.run_iter`` is the streaming variant: it yields
-``(index, payload)`` pairs as cells complete (cache hits first, then
-misses in completion order), so a sweep-shaped merge can fold payloads
-incrementally and a 10,000-cell run holds O(1) payloads instead of
-O(n).  ``run`` is ``run_iter`` plus a payload list — both paths share
-one driver, so they cannot drift.
+   daemon), whose results arrive in completion order;
+3. each fresh result is stored, published to in-flight followers and
+   reported (progress line, telemetry observer) the moment it lands,
+   so a run that raises keeps every cell finished before it, and a
+   served run's event stream moves while the run is going.
 
 Because cells are deterministic, payloads are canonical JSON values,
 and ``run`` always returns results in cell order, the merged report is
@@ -23,7 +19,7 @@ replayed from the cache — the correctness contract the test suite pins
 down.
 """
 
-from typing import Any, Iterator, List, Optional, Tuple
+from typing import Any, List, Optional
 
 from repro.orchestrate.cache import ResultCache
 from repro.orchestrate.cells import Cell
@@ -43,7 +39,7 @@ class Orchestrator:
                    serve`` worker pool): cache-missing digests already
                    executing elsewhere are awaited instead of
                    recomputed.
-    ``executor`` — an executor object (``run``/``run_iter`` over
+    ``executor`` — an executor object (``run_iter`` over
                    ``(index, cell_dict)`` items); None means
                    :class:`SerialExecutor`.  Commands get theirs
                    from :func:`~repro.orchestrate.executor.open_executor`.
@@ -59,30 +55,17 @@ class Orchestrator:
         self.executor = executor if executor is not None else SerialExecutor()
 
     def run(self, cells: List[Cell]) -> List[Any]:
-        """Execute (or replay) every cell; payloads in cell order."""
-        payloads: List[Any] = [None] * len(cells)
-        for index, payload in self._drive(cells, streaming=False):
-            payloads[index] = payload
-        return payloads
+        """Execute (or replay) every cell; payloads in cell order.
 
-    def run_iter(self, cells: List[Cell]) -> Iterator[Tuple[int, Any]]:
-        """Yield ``(index, payload)`` as cells complete.
-
-        Cache hits come first (in cell order), then executed misses in
-        **completion order**, then coalesced followers.  The caller
-        owns each payload the moment it is yielded — the orchestrator
-        keeps no payload list, which is what bounds a streaming
-        sweep's memory.
+        Raises :class:`ValueError` if the executor's stream ends before
+        every miss was answered, or yields an index that is not an
+        unanswered miss: a truncated run must never merge silently.
         """
-        return self._drive(cells, streaming=True)
-
-    def _drive(self, cells: List[Cell],
-               streaming: bool) -> Iterator[Tuple[int, Any]]:
-        """The single driver behind ``run`` and ``run_iter``."""
         telemetry = self.telemetry
         telemetry.batch_started()
         total = len(cells)
         digests = [cell.digest() for cell in cells]
+        payloads: List[Any] = [None] * total
 
         misses = []
         followers = []  # (index, in-flight entry) awaiting another leader.
@@ -93,7 +76,7 @@ class Orchestrator:
                                  float(record.get("elapsed", 0.0)),
                                  cached=True, position=index + 1,
                                  total=total)
-                yield index, record["payload"]
+                payloads[index] = record["payload"]
             elif self.coalescer is not None:
                 leader, entry = self.coalescer.join(digests[index])
                 if leader:
@@ -104,15 +87,14 @@ class Orchestrator:
                 misses.append((index, cell.to_dict()))
 
         if misses:
-            claimed = {digests[index] for index, _ in misses}
+            pending = {index for index, _ in misses}
             try:
-                if streaming:
-                    runs = self.executor.run_iter(
-                        misses, telemetry.executor_fallback)
-                else:
-                    runs = self.executor.run(
-                        misses, telemetry.executor_fallback)
-                for index, payload, elapsed in runs:
+                for index, payload, elapsed in self.executor.run_iter(
+                        misses, telemetry.executor_fallback):
+                    if index not in pending:
+                        raise ValueError(
+                            f"executor yielded cell index {index}, which "
+                            f"is not an unanswered miss of this run")
                     if self.cache is not None:
                         self.cache.store(digests[index],
                                          cells[index].to_dict(),
@@ -120,18 +102,22 @@ class Orchestrator:
                     if self.coalescer is not None:
                         self.coalescer.publish(digests[index], payload,
                                                elapsed)
-                        claimed.discard(digests[index])
+                    pending.discard(index)
                     telemetry.record(cells[index].name, digests[index],
                                      elapsed, cached=False,
                                      position=index + 1, total=total)
-                    yield index, payload
+                    payloads[index] = payload
+                if pending:
+                    raise ValueError(
+                        f"executor stream ended with {len(pending)} of "
+                        f"{len(misses)} cells unanswered")
             finally:
-                # A cell exception (or an abandoned run_iter consumer)
-                # must not strand followers on other threads: resolve
-                # every unpublished claim as failed.
+                # A cell exception must not strand followers on other
+                # threads: resolve every unpublished claim as failed.
                 if self.coalescer is not None:
-                    for digest in claimed:
-                        self.coalescer.abandon(digest, "leader failed")
+                    for index in pending:
+                        self.coalescer.abandon(digests[index],
+                                               "leader failed")
 
         # Leaders published above, before any wait here, so two runs
         # leading each other's followers can never deadlock.
@@ -144,6 +130,7 @@ class Orchestrator:
                                  payload, elapsed)
             telemetry.record(cells[index].name, digests[index], elapsed,
                              cached=True, position=index + 1, total=total)
-            yield index, payload
+            payloads[index] = payload
 
         telemetry.batch_finished()
+        return payloads

@@ -200,8 +200,8 @@ class ServeApp:
             else:
                 plan = self.targets[request.target](SCALES[request.scale],
                                                     request.seed)
-            with open_executor(request.jobs, self.worker_address,
-                               telemetry.executor_fallback) as executor:
+            with open_executor(request.jobs,
+                               self.worker_address) as executor:
                 orchestrator = Orchestrator(
                     cache=None if request.no_cache else self.cache,
                     telemetry=telemetry,

@@ -80,17 +80,27 @@ def full_stock_runtime_readonly():
     return boot_android(kernel)
 
 
+def warm_up_cell(params):
+    """The cell that starts the ``warm_workers`` pool."""
+    return {"warm": True}
+
+
 @pytest.fixture(scope="session")
 def warm_workers():
     """A 2-worker local warm-worker executor for the whole test run.
 
-    Fails the requesting test if the workers could not start: a pool
-    that fell back to serial would make every serial-vs-parallel
-    comparison vacuous.
+    Local workers start with their first batch of cells, so the fixture
+    runs one and fails the requesting test if the workers fell back to
+    serial: that would make every serial-vs-parallel comparison vacuous.
     """
     from repro.distrib import local_workers
+    from repro.orchestrate import Cell
 
+    warm_up = Cell(experiment="warm-up", cell_id="0",
+                   fn="tests.conftest:warm_up_cell", params={})
     fallbacks = []
-    with local_workers(2, fallbacks.append) as executor:
-        assert fallbacks == [], fallbacks
+    with local_workers(2) as executor:
+        runs = list(executor.run_iter([(0, warm_up.to_dict())],
+                                      fallbacks.append))
+        assert runs and fallbacks == [], fallbacks
         yield executor

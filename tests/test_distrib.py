@@ -29,6 +29,10 @@ from repro.orchestrate import Orchestrator, Telemetry, canonical_json
 from repro.orchestrate.cells import Cell
 from repro.orchestrate.executor import run_serial
 
+# A daemon, dispatcher or serving thread that dies fails its test.
+pytestmark = pytest.mark.filterwarnings(
+    "error::pytest.PytestUnhandledThreadExceptionWarning")
+
 
 # ---------------------------------------------------------------------------
 # Cell functions (module-level so warm workers can import them).
@@ -81,6 +85,11 @@ def _items(cells):
 def _echo_items(count):
     return _items([_cell("echo_cell", f"v{v}", value=v)
                    for v in range(count)])
+
+
+def _in_order(runs):
+    """Completion-order ``(index, payload, elapsed)`` runs, by index."""
+    return sorted(runs, key=lambda run: run[0])
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +201,7 @@ class TestDistribExecutor:
     def test_run_matches_serial_byte_for_byte(self, executor):
         items = _echo_items(6)
         serial = run_serial(items)
-        distrib = executor.run(items)
+        distrib = _in_order(executor.run_iter(items))
         assert [run[0] for run in distrib] == [run[0] for run in serial]
         assert ([canonical_json(run[1]) for run in distrib]
                 == [canonical_json(run[1]) for run in serial])
@@ -220,7 +229,7 @@ class TestDistribExecutor:
             + [_cell("crash_once_cell", "crasher", value=99,
                      sentinel=sentinel)])
         fallbacks = []
-        runs = executor.run(items, fallbacks.append)
+        runs = _in_order(executor.run_iter(items, fallbacks.append))
         assert runs[3][1] == {"value": 99, "recovered": True}
         assert [run[1]["value"] for run in runs[:3]] == [0, 1, 2]
         # The daemon (not the client) absorbed the crash: one worker
@@ -242,7 +251,7 @@ class TestDistribExecutor:
 
         killer = threading.Thread(target=assassinate)
         killer.start()
-        runs = executor.run(items)
+        runs = list(executor.run_iter(items))
         killer.join()
         assert sorted(run[0] for run in runs) == list(range(4))
         assert all(run[1] == {"slept": 0.3} for run in runs)
@@ -253,7 +262,7 @@ class TestDistribExecutor:
             f"unix:{tmp_path}/nobody-home.sock", connect_timeout=1.0)
         fallbacks = []
         items = _echo_items(3)
-        runs = executor.run(items, fallbacks.append)
+        runs = _in_order(executor.run_iter(items, fallbacks.append))
         assert ([canonical_json(run[1]) for run in runs]
                 == [canonical_json(run[1]) for run in run_serial(items)])
         assert len(fallbacks) == 1 and "unreachable" in fallbacks[0]
@@ -263,7 +272,7 @@ class TestDistribExecutor:
         timeouts_before = daemon.pool.counters["timeouts_total"]
         fallbacks = []
         items = _items([_cell("sleepy_cell", "slow", seconds=1.0)])
-        runs = executor.run(items, fallbacks.append)
+        runs = list(executor.run_iter(items, fallbacks.append))
         assert runs[0][1] == {"slept": 1.0}  # In-process fallback ran it.
         assert daemon.pool.counters["timeouts_total"] == timeouts_before + 1
         assert len(fallbacks) == 1 and "timeout" in fallbacks[0]
@@ -326,6 +335,60 @@ class TestDaemonLifecycle:
         with pytest.raises(OSError, match="already listening"):
             WorkersDaemon(daemon.bound, workers=1, quiet=True)
 
+    def test_drain_before_serving_still_stops_the_pool(self, tmp_path):
+        """A drain that lands before the serving thread first runs (a
+        private pool closed at once) still stops every worker."""
+        worker_daemon = WorkersDaemon(f"unix:{tmp_path}/early.sock",
+                                      workers=1, quiet=True)
+        worker_daemon.start()
+        worker_daemon.drain()
+        thread = threading.Thread(target=worker_daemon.serve_forever,
+                                  daemon=True)
+        thread.start()
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+        assert worker_daemon.pool.workers_alive() == 0
+
+    def test_departed_client_cells_are_dropped(self, tmp_path):
+        """Cells a client queued and hung up on are skipped, so they do
+        not keep the pool from its other clients."""
+        path = str(tmp_path / "gone.sock")
+        worker_daemon = WorkersDaemon(f"unix:{path}", workers=1, quiet=True)
+        worker_daemon.start()
+        thread = threading.Thread(target=worker_daemon.serve_forever,
+                                  daemon=True)
+        thread.start()
+        markers = tmp_path / "markers"
+        markers.mkdir()
+        try:
+            sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+            sock.connect(path)
+            with sock, sock.makefile("rb") as inp, \
+                    sock.makefile("wb") as out:
+                write_frame(out, {"type": "hello",
+                                  "protocol": PROTOCOL_VERSION})
+                read_frame(inp)
+                for n in range(5):
+                    cell = _cell("marked_sleepy_cell", f"s{n}", seconds=1.0,
+                                 marker=str(markers / f"s{n}"))
+                    write_frame(out, {"type": "run", "id": n,
+                                      "cell": cell.to_dict()})
+                deadline = time.monotonic() + 30
+                while not os.listdir(markers):
+                    assert time.monotonic() < deadline, "no cell started"
+                    time.sleep(0.01)
+            hung_up = time.monotonic()
+            pool = worker_daemon.pool
+            while pool.queue_depth() or pool.busy():
+                assert time.monotonic() - hung_up < 3.0, \
+                    "a departed client's cells kept running"
+                time.sleep(0.05)
+            assert len(os.listdir(markers)) <= 2
+        finally:
+            worker_daemon.drain()
+            thread.join(timeout=30)
+        assert not thread.is_alive()
+
 
 class TestLocalWorkers:
     """``--jobs N``: a private daemon per command, cleaned up on exit."""
@@ -353,10 +416,10 @@ class TestLocalWorkers:
 
         items = _echo_items(6)
         fallbacks = []
-        with local_workers(2, fallbacks.append) as executor:
-            assert isinstance(executor, DistribExecutor)
-            assert executor.address.startswith(f"unix:{tmp_path}")
-            runs = executor.run(items)
+        with local_workers(2) as executor:
+            runs = _in_order(executor.run_iter(items, fallbacks.append))
+            # The private socket directory, made by the first batch.
+            assert len(os.listdir(tmp_path)) == 1
         assert ([canonical_json(run[1]) for run in runs]
                 == [canonical_json(run[1]) for run in run_serial(items)])
         assert fallbacks == []
@@ -375,7 +438,7 @@ class TestLocalWorkers:
                           for n in range(6)])
         fallbacks = []
         with pytest.raises(ValueError, match="deliberate failure for 1"):
-            with local_workers(2, fallbacks.append) as executor:
+            with local_workers(2) as executor:
                 list(executor.run_iter(items, fallbacks.append))
         assert len(fallbacks) == 1 and "exception" in fallbacks[0]
         # Only the cells already on a worker ran; the queued rest were
@@ -384,3 +447,26 @@ class TestLocalWorkers:
         assert len(spawned) == 2
         assert all(handle.proc.poll() is not None for handle in spawned)
         assert os.listdir(tmp_path) == ["markers"]
+
+    def test_nothing_starts_without_cells_to_run(self, spawned, tmp_path,
+                                                 monkeypatch, capsys):
+        """Workers start with the first batch that has misses: empty
+        blocks and a fully cached ``--jobs 2`` command start none."""
+        from repro.distrib import local_workers
+        from repro.experiments import runner
+
+        for _ in range(6):
+            with local_workers(2):
+                pass
+        cells = [_cell("echo_cell", f"v{v}", value=v) for v in range(3)]
+        monkeypatch.setitem(runner.TARGETS, "echo",
+                            lambda scale, seed: runner.TargetPlan(
+                                cells, canonical_json))
+        argv = ["echo", "--cache-dir", str(tmp_path / "cache")]
+        assert runner.main(argv + ["--jobs", "1"]) == 0
+        cold = capsys.readouterr().out
+        assert runner.main(argv + ["--jobs", "2"]) == 0
+        warm = capsys.readouterr()
+        assert warm.out == cold and ", 0 misses" in warm.err
+        assert spawned == []
+        assert os.listdir(tmp_path) == ["cache"]

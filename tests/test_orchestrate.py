@@ -35,6 +35,10 @@ from repro.orchestrate import (
     resolve_cell_fn,
 )
 
+# A daemon, dispatcher or serving thread that dies fails its test.
+pytestmark = pytest.mark.filterwarnings(
+    "error::pytest.PytestUnhandledThreadExceptionWarning")
+
 TINY = Scale(name="tiny", launch_rounds=2, fork_rounds=2, steady_rounds=1,
              ipc_invocations=25, apps=("Angrybirds", "Email"),
              revisit_passes=0, base_burst=500)
@@ -52,9 +56,8 @@ def echo_cell(params):
     return {"value": params["value"], "doubled": params["value"] * 2}
 
 
-def sleepy_echo_cell(params):
-    time.sleep(params["sleep"])
-    return {"value": params["value"]}
+def failing_cell(params):
+    raise RuntimeError(f"deliberate failure for {params['value']}")
 
 
 # Gates for the coalescing tests: hold a leader mid-execution so a
@@ -152,7 +155,7 @@ class TestOrchestrator:
         assert "--jobs" in capsys.readouterr().err
 
     def test_open_executor_picks_by_address_then_jobs(self):
-        from repro.distrib import DistribExecutor
+        from repro.distrib import DistribExecutor, LocalWorkers
         from repro.orchestrate import SerialExecutor, open_executor
 
         with open_executor(1) as executor:
@@ -161,8 +164,8 @@ class TestOrchestrator:
             assert isinstance(executor, DistribExecutor)
             assert executor.address == "unix:/tmp/x.sock"
         with open_executor(2) as executor:
-            assert isinstance(executor, DistribExecutor)
-            assert executor.address.endswith("/pool.sock")
+            assert isinstance(executor, LocalWorkers)
+            assert executor.count == 2
 
     def test_cache_round_trip(self, tmp_path):
         cache = ResultCache(str(tmp_path))
@@ -546,8 +549,8 @@ class TestExecutorFallback:
 
         daemon = _HangUpDaemon(str(tmp_path / "hangup.sock"), 5, k=2)
         fallbacks = []
-        broken = DistribExecutor(daemon.address).run(
-            items, on_fallback=fallbacks.append)
+        broken = sorted(DistribExecutor(daemon.address).run_iter(
+            items, on_fallback=fallbacks.append), key=lambda run: run[0])
         assert [run[0] for run in broken] == [run[0] for run in serial]
         assert ([canonical_json(run[1]) for run in broken]
                 == [canonical_json(run[1]) for run in serial])
@@ -583,7 +586,7 @@ class TestExecutorFallback:
         items = [(i, tiny_cell(i).to_dict()) for i in range(3)]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            runs = executor.run(items)
+            runs = list(executor.run_iter(items))
         assert [run[1]["value"] for run in runs] == [0, 1, 2]
         assert [str(w.message) for w in caught
                 if issubclass(w.category, RuntimeWarning)
@@ -591,115 +594,87 @@ class TestExecutorFallback:
 
     def test_silent_workers_fall_back_to_serial(self, tmp_path,
                                                 monkeypatch):
-        """Local workers that never say hello: the run goes serial,
+        """Local workers that never say hello: every batch goes serial,
         announced once, and no temp directory is left behind."""
         import sys
         import tempfile
 
         from repro.distrib import local_workers, pool
-        from repro.orchestrate import SerialExecutor
 
         monkeypatch.setattr(pool, "worker_command",
                             lambda: [sys.executable, "-c", "pass"])
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
         telemetry = Telemetry()
-        with local_workers(2, telemetry.executor_fallback) as executor:
-            assert isinstance(executor, SerialExecutor)
-            payloads = Orchestrator(telemetry=telemetry,
-                                    executor=executor).run(
-                [tiny_cell(v) for v in range(3)])
+        with local_workers(2) as executor:
+            orchestrator = Orchestrator(telemetry=telemetry,
+                                        executor=executor)
+            payloads = orchestrator.run([tiny_cell(v) for v in range(3)])
+            assert orchestrator.run([tiny_cell(7)]) == [
+                {"value": 7, "doubled": 14}]
         assert [p["value"] for p in payloads] == [0, 1, 2]
         assert len(telemetry.fallbacks) == 1
         assert "local workers unavailable" in telemetry.fallbacks[0]
         assert os.listdir(tmp_path) == []
 
 
-class TestRunIterAndFolds:
-    """run_iter + fold_ordered: the streaming merge building blocks."""
+class _FakeExecutor:
+    """An executor whose stream is scripted: ``(index, payload)`` pairs."""
 
-    def test_run_iter_equals_run(self):
-        cells = [tiny_cell(v) for v in (3, 1, 2)]
-        streamed = dict(Orchestrator().run_iter(cells))
-        buffered = Orchestrator().run(cells)
-        assert [streamed[i] for i in range(3)] == buffered
+    def __init__(self, script):
+        self.script = script
 
-    def test_run_iter_serial_peak_buffered_is_zero(self):
-        """The memory-contract pin: a serial stream arrives in order,
-        so the fold never parks a payload."""
-        from repro.orchestrate import FoldStats, fold_ordered
+    def run_iter(self, items, on_fallback=None):
+        for index, payload in self.script:
+            yield index, payload, 0.0
 
-        cells = [tiny_cell(v) for v in range(6)]
-        stats = FoldStats()
-        values = fold_ordered(
-            Orchestrator().run_iter(cells),
-            lambda acc, index, payload: acc + [payload["value"]],
-            [], total=len(cells), stats=stats)
-        assert values == list(range(6))
-        assert stats.peak_buffered == 0
-        assert stats.folded == 6 and stats.reused == 0
 
-    def test_run_iter_parallel_buffer_reaches_n_minus_1(self,
-                                                        warm_workers):
-        """The parallel bound is n - 1, not the worker count: every
-        cell is submitted up front, so while a slow first cell runs on
-        one worker the other finishes all the rest ahead of it."""
-        from repro.orchestrate import FoldStats, fold_ordered
+class TestRunAsCellsLand:
+    """``run`` stores and reports each cell the moment it lands."""
 
-        cells = [Cell(experiment="sleepy", cell_id=f"v{v}",
-                      fn="tests.test_orchestrate:sleepy_echo_cell",
-                      params={"value": v, "sleep": 1.5 if v == 0 else 0})
-                 for v in range(6)]
-        stats = FoldStats()
-        values = fold_ordered(
-            Orchestrator(executor=warm_workers).run_iter(cells),
-            lambda acc, index, payload: acc + [payload["value"]],
-            [], total=len(cells), stats=stats)
-        assert values == list(range(6))
-        assert stats.peak_buffered == len(cells) - 1
-
-    def test_run_iter_hits_cache(self, tmp_path):
+    def test_cells_before_a_raising_cell_are_kept(self, tmp_path):
         cache = ResultCache(str(tmp_path))
-        cells = [tiny_cell(v) for v in (1, 2)]
-        Orchestrator(cache=cache).run(cells)
-        warm = Orchestrator(cache=cache)
-        assert dict(warm.run_iter(cells))[0]["value"] == 1
-        assert warm.telemetry.hits == 2
+        lines = []
+        cells = [tiny_cell(0), tiny_cell(1),
+                 Cell(experiment="fail", cell_id="v2",
+                      fn="tests.test_orchestrate:failing_cell",
+                      params={"value": 2}),
+                 tiny_cell(3)]
+        orchestrator = Orchestrator(cache=cache,
+                                    telemetry=Telemetry(
+                                        progress=lines.append))
+        with pytest.raises(RuntimeError, match="deliberate failure for 2"):
+            orchestrator.run(cells)
+        assert [cache.load(cell.digest()) is not None
+                for cell in cells] == [True, True, False, False]
+        assert [line.split(":")[0] for line in lines] == [
+            "[cell 1/4] echo/v0", "[cell 2/4] echo/v1"]
 
-    def test_fold_ordered_buffers_out_of_order(self):
-        from repro.orchestrate import FoldStats, fold_ordered
+    def test_rendered_target_counts_its_wall_time(self, monkeypatch):
+        from repro.experiments import runner
 
-        stats = FoldStats()
-        runs = [(2, "c"), (0, "a"), (1, "b")]
-        folded = fold_ordered(iter(runs),
-                              lambda acc, i, p: acc + p, "",
-                              total=3, stats=stats)
-        assert folded == "abc"
-        assert stats.peak_buffered == 1  # Only "c" ever waited.
+        monkeypatch.setitem(runner.RENDERED_DRIVERS, "table1",
+                            lambda scale, seed: "a cheap report")
+        telemetry = Telemetry()
+        report = run_target("table1", TINY,
+                            RunContext(Orchestrator(telemetry=telemetry)))
+        assert report == "a cheap report"
+        assert telemetry.wall_seconds > 0
 
-    def test_fold_ordered_uses_available(self):
-        from repro.orchestrate import FoldStats, fold_ordered
+    def test_completion_order_returns_plan_order(self):
+        orchestrator = Orchestrator(executor=_FakeExecutor(
+            [(2, "c"), (0, "a"), (1, "b")]))
+        assert orchestrator.run([tiny_cell(v) for v in range(3)]) == [
+            "a", "b", "c"]
 
-        stats = FoldStats()
-        folded = fold_ordered(iter([(1, "live")]),
-                              lambda acc, i, p: acc + [p], [],
-                              total=2, available={0: "reused"},
-                              stats=stats)
-        assert folded == ["reused", "live"]
-        assert stats.reused == 1
-
-    def test_fold_ordered_truncated_stream_raises(self):
-        from repro.orchestrate import fold_ordered
-
-        with pytest.raises(ValueError, match="ended before cell 1"):
-            fold_ordered(iter([(0, "a")]),
-                         lambda acc, i, p: acc, None, total=3)
-
-    def test_fold_ordered_rejects_alien_index(self):
-        from repro.orchestrate import fold_ordered
-
-        with pytest.raises(ValueError, match="unexpected index"):
-            fold_ordered(iter([(7, "x")]),
-                         lambda acc, i, p: acc, None, total=2)
+    @pytest.mark.parametrize("script, message", [
+        ([(0, "a")], "ended with 1 of 2 cells unanswered"),
+        ([(0, "a"), (0, "a")], "cell index 0, which is not an unanswered"),
+        ([(0, "a"), (7, "x")], "cell index 7, which is not an unanswered"),
+    ], ids=["ends-early", "repeats", "unknown"])
+    def test_a_broken_stream_raises(self, script, message):
+        orchestrator = Orchestrator(executor=_FakeExecutor(script))
+        with pytest.raises(ValueError, match=message):
+            orchestrator.run([tiny_cell(0), tiny_cell(1)])
 
 
 class TestCacheStatsPrune:

@@ -87,11 +87,22 @@ def _multi_planner(count):
     return planner
 
 
+def _echo_then_gated_planner(scale, seed):
+    """Two cells: an echo, then one that waits for the gate."""
+    cells = [Cell(
+        experiment=tag, cell_id=f"{scale.name}-{seed}",
+        fn=f"tests.test_serve:{fn_name}",
+        params={"tag": tag, "seed": seed, "scale": scale.name},
+    ) for fn_name, tag in (("echo_cell", "first"), ("gated_cell", "second"))]
+    return TargetPlan(cells, lambda ps: json.dumps(ps, sort_keys=True))
+
+
 FAKE_TARGETS = {
     "fork": _planner("echo_cell", "fork"),
     "launch": _planner("echo_cell", "launch"),
     "gated": _planner("gated_cell", "gated"),
     "boom": _planner("failing_cell", "boom"),
+    "echo-then-gated": _echo_then_gated_planner,
 }
 
 
@@ -461,6 +472,24 @@ class TestEventStream:
         assert len(cell_events) == 1
         assert cell_events[0]["name"] == "gated/quick-4"
         assert [e["seq"] for e in events] == [0, 1, 2, 3]
+
+    def test_cell_event_lands_while_the_run_goes(self, served):
+        app, url, _ = served
+        status, body = _post(url, {"target": "echo-then-gated", "seed": 5,
+                                   "wait": False})
+        assert status == 202
+        # The second cell has started, so the first has finished.
+        assert _STARTED.wait(timeout=10)
+        record = app.registry.get(body["id"])
+        events, finished = app.registry.events_since(record, 0, timeout=0)
+        assert not finished
+        assert [e["name"] for e in events if e["type"] == "cell"] == [
+            "first/quick-5"]
+        _GATE.set()
+        assert app.registry.wait_finished(record, timeout=30)
+        assert [e["name"] for e in record.events if e["type"] == "cell"] \
+            == ["first/quick-5", "second/quick-5"]
+        assert record.state == "done"
 
     def test_stream_replays_a_finished_run(self, served):
         _, url, _ = served
