@@ -22,13 +22,12 @@ orchestrator telemetry and the ``satr_executor_fallbacks_total``
 counter can see it; without a callback it is a ``RuntimeWarning``.
 """
 
-import json
 import socket
 from typing import Any, Dict, Iterable, Iterator, Optional
 
 from repro import __version__
 from repro.distrib import protocol
-from repro.distrib.protocol import ProtocolError, write_frame
+from repro.distrib.protocol import ProtocolError, read_frame, write_frame
 from repro.orchestrate.executor import (CellRun, FallbackHook, WorkItem,
                                         _announce_fallback, _run_one)
 
@@ -45,50 +44,33 @@ DEFAULT_CONNECT_TIMEOUT = 10.0
 class _Connection:
     """One framed socket with silence-aware reads.
 
-    Reads go through an owned buffer (``recv`` either delivers bytes
-    or times out — nothing is half-consumed), so a heartbeat timeout
-    never corrupts frame alignment the way a timeout inside a buffered
-    file read would.
+    :meth:`read` is one ``recv``, which either delivers bytes or times
+    out having consumed nothing, so :func:`protocol.read_frame` decodes
+    frames straight off the socket and a heartbeat timeout never
+    corrupts frame alignment the way a timeout inside a buffered file
+    read would.
     """
 
     def __init__(self, sock: socket.socket, heartbeat: float) -> None:
         self.sock = sock
         self.out = sock.makefile("wb")
         self.heartbeat = heartbeat
-        self._buf = bytearray()
         sock.settimeout(heartbeat)
 
     def send(self, obj: Dict[str, Any]) -> None:
         write_frame(self.out, obj)
 
-    def recv_frame(self) -> Optional[Any]:
-        """The next frame; None on clean EOF.
+    def read(self, count: int) -> bytes:
+        """Up to ``count`` bytes; empty at end of stream.
 
-        Raises :class:`ConnectionError` once the daemon has been
-        silent for :data:`MISSED_HEARTBEATS` heartbeat intervals
-        despite pings, and :class:`ProtocolError` on garbled bytes.
+        Pings the daemon after each silent heartbeat interval, and
+        raises :class:`ConnectionError` once it has been silent for
+        :data:`MISSED_HEARTBEATS` intervals despite the pings.
         """
-        header = self._take(protocol._HEADER.size, start_of_frame=True)
-        if header is None:
-            return None
-        (length,) = protocol._HEADER.unpack(header)
-        if length > protocol.MAX_FRAME_BYTES:
-            raise ProtocolError(f"frame length {length} exceeds the "
-                                f"{protocol.MAX_FRAME_BYTES}-byte limit")
-        body = self._take(length)
-        if body is None:
-            raise ProtocolError("connection closed inside a frame")
-        try:
-            return json.loads(body.decode("utf-8"))
-        except (UnicodeDecodeError, ValueError) as exc:
-            raise ProtocolError(f"frame body is not JSON: {exc}") from None
-
-    def _take(self, count: int,
-              start_of_frame: bool = False) -> Optional[bytes]:
         silent_intervals = 0
-        while len(self._buf) < count:
+        while True:
             try:
-                chunk = self.sock.recv(65536)
+                return self.sock.recv(count)
             except socket.timeout:
                 silent_intervals += 1
                 if silent_intervals >= MISSED_HEARTBEATS:
@@ -102,16 +84,6 @@ class _Connection:
                     raise ConnectionError(
                         "worker pool connection broke while "
                         "pinging") from None
-                continue
-            if not chunk:
-                if start_of_frame and not self._buf:
-                    return None
-                raise ProtocolError("connection closed inside a frame")
-            silent_intervals = 0
-            self._buf += chunk
-        taken = bytes(self._buf[:count])
-        del self._buf[:count]
-        return taken
 
     def close(self) -> None:
         for closer in (self.out.close, self.sock.close):
@@ -167,7 +139,7 @@ class DistribExecutor:
                 return
             while pending:
                 try:
-                    frame = conn.recv_frame()
+                    frame = read_frame(conn)
                 except (ConnectionError, ProtocolError, OSError) as exc:
                     yield from _in_process(
                         pending, on_fallback,
@@ -214,7 +186,7 @@ class DistribExecutor:
         try:
             conn.send({"type": "hello", "version": __version__,
                        "protocol": protocol.PROTOCOL_VERSION})
-            hello = conn.recv_frame()
+            hello = read_frame(conn)
             if (not isinstance(hello, dict)
                     or hello.get("type") != "hello"):
                 raise ProtocolError(
@@ -247,7 +219,7 @@ def fetch_pool_stats(address: str,
     try:
         conn.send({"type": "stats"})
         while True:
-            frame = conn.recv_frame()
+            frame = read_frame(conn)
             if frame is None:
                 raise ConnectionError("daemon closed before answering stats")
             if isinstance(frame, dict) and frame.get("type") == "stats":
@@ -268,7 +240,7 @@ def pool_alive(address: Optional[str],
     conn = _Connection(sock, heartbeat=timeout)
     try:
         conn.send({"type": "ping"})
-        frame = conn.recv_frame()
+        frame = read_frame(conn)
         return isinstance(frame, dict) and frame.get("type") == "pong"
     except (ConnectionError, ProtocolError, OSError):
         return False

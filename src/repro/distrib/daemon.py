@@ -27,7 +27,7 @@ import socket
 import sys
 import threading
 import time
-from typing import Any, BinaryIO, Dict, Optional
+from typing import Any, Dict, Optional
 
 from repro import __version__
 from repro.distrib import protocol

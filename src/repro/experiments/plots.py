@@ -5,7 +5,7 @@ these helpers render the same shapes in monospace text so ``satr``
 output can be eyeballed against the paper without a plotting stack.
 """
 
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from repro.common.stats import BoxplotSummary
 

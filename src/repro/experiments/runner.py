@@ -61,10 +61,10 @@ across clients, streamed per-cell progress, live ``/metrics``::
     satr serve --port 0 --port-file /tmp/satr.port   # ephemeral port
 
 The ``loadgen`` subcommand drives a running server and reports
-p50/p95/p99 latency and throughput (``BENCH_serve.json`` baseline)::
+p50/p95/p99 latency and throughput::
 
     satr loadgen --url http://127.0.0.1:8080 --targets fork,ipc \\
-        --concurrency 4 --requests 40 -o BENCH_serve.json
+        --concurrency 4 --requests 40 -o loadgen.json
 
 The ``workers`` subcommand runs the persistent warm-worker pool
 daemon (see :mod:`repro.distrib`): N workers import ``repro`` once
@@ -783,7 +783,7 @@ def loadgen_main(argv) -> int:
         prog="satr loadgen",
         description=("Drive a running `satr serve` with concurrent "
                      "scenario requests and report p50/p95/p99 latency "
-                     "and throughput (the BENCH_serve.json baseline)."),
+                     "and throughput."),
     )
     parser.add_argument("--url", required=True,
                         help="server base URL, e.g. http://127.0.0.1:8080")
@@ -810,8 +810,7 @@ def loadgen_main(argv) -> int:
                         metavar="SECONDS",
                         help="per-request timeout (default: 600)")
     parser.add_argument("-o", "--output", default=None, metavar="PATH",
-                        help="write the JSON report here "
-                             "(e.g. BENCH_serve.json)")
+                        help="write the JSON report here")
     args = parser.parse_args(argv)
     if args.concurrency < 1:
         parser.error("--concurrency must be >= 1")

@@ -18,6 +18,11 @@ cell lists through:
 
 Determinism contract: serial, parallel and cache-replayed runs of the
 same cell list merge into byte-identical reports.
+
+Deduplication across time is the cache's job.  Across concurrency it
+is not this package's: identical in-flight ``satr serve`` requests
+share one run in ``repro.serve``'s run registry, and two different
+runs never wait on each other's cells.
 """
 
 from repro.orchestrate.cache import (
@@ -25,7 +30,6 @@ from repro.orchestrate.cache import (
     ResultCache,
     default_cache_dir,
 )
-from repro.orchestrate.coalesce import CoalesceError, InflightCoalescer
 from repro.orchestrate.cells import (
     Cell,
     canonical_json,
@@ -43,8 +47,6 @@ __all__ = [
     "CACHE_DIR_ENV",
     "Cell",
     "CellRecord",
-    "CoalesceError",
-    "InflightCoalescer",
     "Orchestrator",
     "ResultCache",
     "SerialExecutor",

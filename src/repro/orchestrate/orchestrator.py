@@ -7,10 +7,10 @@ and returns their payloads **in list order**:
 2. the misses run through the configured executor (in-process serial,
    or warm workers: local to the command, or a ``satr workers``
    daemon), whose results arrive in completion order;
-3. each fresh result is stored, published to in-flight followers and
-   reported (progress line, telemetry observer) the moment it lands,
-   so a run that raises keeps every cell finished before it, and a
-   served run's event stream moves while the run is going.
+3. each fresh result is stored and reported (progress line, telemetry
+   observer) the moment it lands, so a run that raises keeps every
+   cell finished before it, and a served run's event stream moves
+   while the run is going.
 
 Because cells are deterministic, payloads are canonical JSON values,
 and ``run`` always returns results in cell order, the merged report is
@@ -23,7 +23,6 @@ from typing import Any, List, Optional
 
 from repro.orchestrate.cache import ResultCache
 from repro.orchestrate.cells import Cell
-from repro.orchestrate.coalesce import InflightCoalescer
 from repro.orchestrate.executor import SerialExecutor
 from repro.orchestrate.telemetry import Telemetry
 
@@ -34,11 +33,6 @@ class Orchestrator:
     ``cache``    — a :class:`ResultCache`, or None to disable caching.
     ``telemetry``— shared across ``run`` calls, so one ``satr all``
                    invocation reports a single hit/miss/wall summary.
-    ``coalescer``— an :class:`InflightCoalescer` shared with other
-                   orchestrators in the same process (the ``satr
-                   serve`` worker pool): cache-missing digests already
-                   executing elsewhere are awaited instead of
-                   recomputed.
     ``executor`` — an executor object (``run_iter`` over
                    ``(index, cell_dict)`` items); None means
                    :class:`SerialExecutor`.  Commands get theirs
@@ -47,11 +41,9 @@ class Orchestrator:
 
     def __init__(self, cache: Optional[ResultCache] = None,
                  telemetry: Optional[Telemetry] = None,
-                 coalescer: Optional[InflightCoalescer] = None,
                  executor: Optional[Any] = None) -> None:
         self.cache = cache
         self.telemetry = telemetry if telemetry is not None else Telemetry()
-        self.coalescer = coalescer
         self.executor = executor if executor is not None else SerialExecutor()
 
     def run(self, cells: List[Cell]) -> List[Any]:
@@ -68,7 +60,6 @@ class Orchestrator:
         payloads: List[Any] = [None] * total
 
         misses = []
-        followers = []  # (index, in-flight entry) awaiting another leader.
         for index, cell in enumerate(cells):
             record = self.cache.load(digests[index]) if self.cache else None
             if record is not None:
@@ -77,60 +68,27 @@ class Orchestrator:
                                  cached=True, position=index + 1,
                                  total=total)
                 payloads[index] = record["payload"]
-            elif self.coalescer is not None:
-                leader, entry = self.coalescer.join(digests[index])
-                if leader:
-                    misses.append((index, cell.to_dict()))
-                else:
-                    followers.append((index, entry))
             else:
                 misses.append((index, cell.to_dict()))
 
-        if misses:
-            pending = {index for index, _ in misses}
-            try:
-                for index, payload, elapsed in self.executor.run_iter(
-                        misses, telemetry.executor_fallback):
-                    if index not in pending:
-                        raise ValueError(
-                            f"executor yielded cell index {index}, which "
-                            f"is not an unanswered miss of this run")
-                    if self.cache is not None:
-                        self.cache.store(digests[index],
-                                         cells[index].to_dict(),
-                                         payload, elapsed)
-                    if self.coalescer is not None:
-                        self.coalescer.publish(digests[index], payload,
-                                               elapsed)
-                    pending.discard(index)
-                    telemetry.record(cells[index].name, digests[index],
-                                     elapsed, cached=False,
-                                     position=index + 1, total=total)
-                    payloads[index] = payload
-                if pending:
-                    raise ValueError(
-                        f"executor stream ended with {len(pending)} of "
-                        f"{len(misses)} cells unanswered")
-            finally:
-                # A cell exception must not strand followers on other
-                # threads: resolve every unpublished claim as failed.
-                if self.coalescer is not None:
-                    for index in pending:
-                        self.coalescer.abandon(digests[index],
-                                               "leader failed")
-
-        # Leaders published above, before any wait here, so two runs
-        # leading each other's followers can never deadlock.
-        for index, entry in followers:
-            payload, elapsed = InflightCoalescer.wait(entry)
+        pending = {index for index, _ in misses}
+        for index, payload, elapsed in self.executor.run_iter(
+                misses, telemetry.executor_fallback):
+            if index not in pending:
+                raise ValueError(
+                    f"executor yielded cell index {index}, which is not "
+                    f"an unanswered miss of this run")
             if self.cache is not None:
-                # The leader stored under *its* cache; keep ours warm too
-                # (byte-identical record, so a shared root is idempotent).
                 self.cache.store(digests[index], cells[index].to_dict(),
                                  payload, elapsed)
+            pending.discard(index)
             telemetry.record(cells[index].name, digests[index], elapsed,
-                             cached=True, position=index + 1, total=total)
+                             cached=False, position=index + 1, total=total)
             payloads[index] = payload
+        if pending:
+            raise ValueError(
+                f"executor stream ended with {len(pending)} of "
+                f"{len(misses)} cells unanswered")
 
         telemetry.batch_finished()
         return payloads

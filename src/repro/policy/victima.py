@@ -32,7 +32,7 @@ flushes exactly like live ones, so Victima extends the reach of shared
 translations too.
 """
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional
 
 from repro.common.constants import NUM_ASIDS
 from repro.policy.base import TranslationPolicy

@@ -8,8 +8,7 @@ as a cross-client memoization layer, streams per-cell progress as
 newline-delimited JSON (``GET /runs/<id>/events``), and exposes
 ``GET /metrics`` (Prometheus text format), ``GET /healthz`` and
 ``GET /runs`` for introspection.  ``satr loadgen`` is the matching
-load-generator client behind the committed ``BENCH_serve.json``
-latency/throughput baseline.
+latency/throughput load-generator client.
 
 Correctness contract: a run's ``report`` — and the raw bytes of
 ``GET /runs/<id>/report`` — is byte-identical to the report the CLI

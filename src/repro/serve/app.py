@@ -5,10 +5,9 @@ Layering::
     ServeServer (ThreadingHTTPServer)        one thread per connection
       └─ _Handler                            routes + JSON/stream I/O
            └─ ServeApp                       the actual service
-                ├─ RunRegistry               records + request coalescing
+                ├─ RunRegistry               records + in-flight dedup
                 ├─ worker pool (threads)     bounded, FIFO, drainable
                 ├─ ResultCache (shared)      cross-client memoization
-                ├─ InflightCoalescer         cross-run cell single-flight
                 └─ ServerMetrics             /metrics exposition
 
 Endpoints::
@@ -31,13 +30,12 @@ import json
 import queue
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro import __version__
 from repro.experiments.common import SCALES
 from repro.metrics import PROMETHEUS_CONTENT_TYPE
 from repro.orchestrate import (
-    InflightCoalescer,
     Orchestrator,
     ResultCache,
     Telemetry,
@@ -88,7 +86,6 @@ class ServeApp:
         self.queue_limit = queue_limit
         self.registry = RunRegistry()
         self.metrics = ServerMetrics()
-        self.coalescer = InflightCoalescer()
         self._queue: "queue.Queue[Optional[RunRecord]]" = queue.Queue()
         self._draining = threading.Event()
         self._workers = [
@@ -205,7 +202,6 @@ class ServeApp:
                 orchestrator = Orchestrator(
                     cache=None if request.no_cache else self.cache,
                     telemetry=telemetry,
-                    coalescer=self.coalescer,
                     executor=executor,
                 )
                 payloads = orchestrator.run(plan.cells)

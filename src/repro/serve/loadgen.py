@@ -5,9 +5,7 @@ workers each issue ``POST /run`` requests (targets assigned
 round-robin) until a global request budget or a wall-clock duration
 runs out, recording per-request latency and the server's
 cached/coalesced verdicts.  The report carries p50/p95/p99 latency,
-throughput, and cache behaviour — overall and per target — and is what
-the committed ``BENCH_serve.json`` baseline stores for warm-cache
-traffic.
+throughput, and cache behaviour — overall and per target.
 
 An optional warm-up pass (default on) issues one sequential request
 per target first, so the measured phase exercises the memoized serving

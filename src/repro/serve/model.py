@@ -20,7 +20,7 @@ reports coalesce onto one in-flight execution.
 
 import hashlib
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Sequence
 
 from repro.experiments.common import DEFAULT_SEED, SCALES
 from repro.orchestrate import canonical_json

@@ -4,7 +4,9 @@ One :class:`RunRecord` per *execution*.  Submitting a request whose
 coalescing key matches a queued or running record joins that record
 instead of creating a new one — two identical concurrent requests share
 one execution and one event stream, and both responses carry the same
-(byte-identical) report.
+(byte-identical) report.  This is the daemon's only in-flight
+deduplication: runs with different keys (a ``no_cache`` request and its
+cached twin among them) each compute their own cache misses.
 
 All state is guarded by a single condition variable; every mutation
 notifies it, so response waiters (``POST /run`` with ``wait``) and

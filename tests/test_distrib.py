@@ -6,6 +6,7 @@ other executors carry: a cell list run through ``DistribExecutor``
 serial run produces.
 """
 
+import io
 import os
 import signal
 import socket
@@ -25,6 +26,7 @@ from repro.distrib import (
     read_frame,
     write_frame,
 )
+from repro.distrib.client import MISSED_HEARTBEATS
 from repro.orchestrate import Orchestrator, Telemetry, canonical_json
 from repro.orchestrate.cells import Cell
 from repro.orchestrate.executor import run_serial
@@ -299,6 +301,86 @@ class TestDistribExecutor:
             time.sleep(0.05)
         raise AssertionError(
             f"pool never recovered to {count} workers")
+
+
+def _frame_bytes(obj):
+    buffer = io.BytesIO()
+    write_frame(buffer, obj)
+    return buffer.getvalue()
+
+
+_HELLO = {"type": "hello", "protocol": PROTOCOL_VERSION, "workers": 1}
+
+
+class _FakeDaemon:
+    """One client on a unix socket, each frame it sends answered by
+    ``answer(sock, frame)``; ``received`` lists the frames."""
+
+    def __init__(self, path, answer):
+        self.received = []
+        self._answer = answer
+        self._listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        self._listener.bind(path)
+        self._listener.listen(1)
+        self.thread = threading.Thread(target=self._serve, daemon=True)
+        self.thread.start()
+
+    def _serve(self):
+        sock, _ = self._listener.accept()
+        with sock, sock.makefile("rb") as inp:
+            while True:
+                frame = read_frame(inp)
+                if frame is None:
+                    return
+                self.received.append(frame)
+                self._answer(sock, frame)
+
+    def close(self):
+        self.thread.join(timeout=30)
+        self._listener.close()
+        assert not self.thread.is_alive()
+
+
+class TestClientReads:
+    """The client's reads against a daemon that misbehaves on purpose."""
+
+    def test_silent_daemon_falls_back_after_missed_heartbeats(self,
+                                                             tmp_path):
+        def hello_then_silence(sock, frame):
+            if frame["type"] == "hello":
+                sock.sendall(_frame_bytes(_HELLO))
+
+        path = str(tmp_path / "silent.sock")
+        fake = _FakeDaemon(path, hello_then_silence)
+        fallbacks = []
+        items = _echo_items(1)
+        runs = list(DistribExecutor(f"unix:{path}", heartbeat=0.05)
+                    .run_iter(items, fallbacks.append))
+        fake.close()
+        assert runs[0][1] == run_serial(items)[0][1]
+        assert len(fallbacks) == 1 and "silent" in fallbacks[0]
+        assert ([frame["type"] for frame in fake.received]
+                == ["hello", "run"] + ["ping"] * (MISSED_HEARTBEATS - 1))
+
+    def test_frames_sent_a_byte_at_a_time_decode(self, tmp_path):
+        def trickle(sock, frame):
+            if frame["type"] == "hello":
+                reply = _HELLO
+            else:
+                reply = {"type": "result", "id": frame["id"],
+                         "payload": {"from": "fake"}, "elapsed": 0.5}
+            for byte in _frame_bytes(reply):
+                sock.send(bytes([byte]))
+                time.sleep(0.001)
+
+        path = str(tmp_path / "trickle.sock")
+        fake = _FakeDaemon(path, trickle)
+        fallbacks = []
+        runs = list(DistribExecutor(f"unix:{path}")
+                    .run_iter(_echo_items(1), fallbacks.append))
+        fake.close()
+        assert runs == [(0, {"from": "fake"}, 0.5)]
+        assert fallbacks == []
 
 
 class TestDaemonLifecycle:

@@ -23,8 +23,6 @@ from repro.experiments.runner import RunContext, plan_target, run_target
 from repro.kernel.counters import Counters
 from repro.orchestrate import (
     Cell,
-    CoalesceError,
-    InflightCoalescer,
     Orchestrator,
     ResultCache,
     Telemetry,
@@ -58,34 +56,6 @@ def echo_cell(params):
 
 def failing_cell(params):
     raise RuntimeError(f"deliberate failure for {params['value']}")
-
-
-# Gates for the coalescing tests: hold a leader mid-execution so a
-# second orchestrator provably joins the in-flight digest.
-_COALESCE_GATE = threading.Event()
-_COALESCE_STARTED = threading.Event()
-_COALESCE_RUNS = []
-
-
-def gated_echo_cell(params):
-    _COALESCE_STARTED.set()
-    if not _COALESCE_GATE.wait(timeout=30):
-        raise RuntimeError("coalesce gate never released")
-    _COALESCE_RUNS.append(params["value"])
-    return {"value": params["value"]}
-
-
-def gated_failing_cell(params):
-    _COALESCE_STARTED.set()
-    if not _COALESCE_GATE.wait(timeout=30):
-        raise RuntimeError("coalesce gate never released")
-    raise RuntimeError("deliberate leader failure")
-
-
-def _gated_cell(fn_name, value=1):
-    return Cell(experiment="gated", cell_id=f"v{value}",
-                fn=f"tests.test_orchestrate:{fn_name}",
-                params={"value": value})
 
 
 class TestCellBasics:
@@ -272,97 +242,6 @@ class TestResultCacheCrashSafety:
         leftovers = [name for _, _, names in os.walk(tmp_path)
                      for name in names if name.endswith(".tmp")]
         assert leftovers == []
-
-
-class TestInflightCoalescer:
-    def test_leader_publishes_to_followers(self):
-        coalescer = InflightCoalescer()
-        leader, entry = coalescer.join("d1")
-        assert leader
-        follower, same = coalescer.join("d1")
-        assert not follower and same is entry
-        assert coalescer.coalesced_total == 1
-        coalescer.publish("d1", {"x": 1}, 0.25)
-        assert InflightCoalescer.wait(same) == ({"x": 1}, 0.25)
-        # The digest is no longer in flight: the next join leads again.
-        assert coalescer.join("d1")[0]
-
-    def test_abandon_raises_for_followers(self):
-        coalescer = InflightCoalescer()
-        coalescer.join("d2")
-        _, entry = coalescer.join("d2")
-        coalescer.abandon("d2", "leader failed")
-        with pytest.raises(CoalesceError, match="leader failed"):
-            InflightCoalescer.wait(entry)
-
-    def test_wait_timeout(self):
-        coalescer = InflightCoalescer()
-        _, entry = coalescer.join("d3")
-        with pytest.raises(CoalesceError, match="timed out"):
-            InflightCoalescer.wait(entry, timeout=0.01)
-
-
-class TestOrchestratorCoalescing:
-    """Two orchestrators sharing a coalescer execute each cell once."""
-
-    def _run_pair(self, cell, cache):
-        _COALESCE_GATE.clear()
-        _COALESCE_STARTED.clear()
-        del _COALESCE_RUNS[:]
-        coalescer = InflightCoalescer()
-        outcomes = {}
-
-        def run_one(name):
-            orchestrator = Orchestrator(cache=cache, coalescer=coalescer)
-            try:
-                payloads = orchestrator.run([cell])
-                outcomes[name] = ("ok", payloads[0],
-                                  orchestrator.telemetry.hits,
-                                  orchestrator.telemetry.misses)
-            except Exception as exc:
-                outcomes[name] = ("error", type(exc).__name__)
-
-        threads = [threading.Thread(target=run_one, args=(name,))
-                   for name in ("a", "b")]
-        threads[0].start()
-        assert _COALESCE_STARTED.wait(timeout=10)
-        threads[1].start()
-        # Hold the leader until the second run has provably joined the
-        # in-flight digest; otherwise it could miss the window and
-        # execute the cell itself.
-        for _ in range(1000):
-            if coalescer.coalesced_total == 1:
-                break
-            time.sleep(0.01)
-        assert coalescer.coalesced_total == 1
-        _COALESCE_GATE.set()
-        for thread in threads:
-            thread.join(timeout=30)
-        return outcomes
-
-    def test_concurrent_runs_share_one_execution(self, tmp_path):
-        cache = ResultCache(str(tmp_path))
-        cell = _gated_cell("gated_echo_cell", 5)
-        outcomes = self._run_pair(cell, cache)
-        assert _COALESCE_RUNS == [5]
-        assert outcomes["a"][1] == outcomes["b"][1] == {"value": 5}
-        # One side computed (a miss); the other replayed the leader's
-        # payload (recorded as a hit) or — if it arrived after the
-        # leader stored — hit the cache outright.
-        assert sorted((outcomes["a"][2:], outcomes["b"][2:])) \
-            == [(0, 1), (1, 0)]
-        # Both sides flushed the shared cache.
-        assert cache.load(cell.digest())["payload"] == {"value": 5}
-
-    def test_leader_failure_propagates_not_hangs(self, tmp_path):
-        cache = ResultCache(str(tmp_path))
-        cell = _gated_cell("gated_failing_cell", 8)
-        outcomes = self._run_pair(cell, cache)
-        kinds = sorted(outcome[1] for outcome in outcomes.values())
-        # The leader surfaces the cell's own error; the follower gets
-        # CoalesceError instead of deadlocking on the dead claim.
-        assert kinds == ["CoalesceError", "RuntimeError"]
-        assert cache.load(cell.digest()) is None
 
 
 class TestExperimentCells:

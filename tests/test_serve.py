@@ -443,6 +443,43 @@ class TestCoalescing:
         assert values["satr_serve_coalesced_requests_total"] == 1
 
 
+class TestNoCacheOverlap:
+    def test_no_cache_twin_computes_its_own_cell(self, served):
+        """A ``no_cache`` request that overlaps an identical cached one
+        has its own record and never reports a cache hit."""
+        app, url, _ = served
+        body = {"target": "gated", "seed": 9}
+        results = {}
+
+        def issue(name, request):
+            results[name] = _post(url, request, timeout=60)
+
+        threads = [
+            threading.Thread(target=issue, args=("cached", body)),
+            threading.Thread(target=issue,
+                             args=("fresh", dict(body, no_cache=True))),
+        ]
+        threads[0].start()
+        assert _STARTED.wait(timeout=10)
+        _STARTED.clear()
+        threads[1].start()
+        # Hold the cached run until the no_cache run is computing its
+        # own copy of the cell.  Bounded: a run that waits on the cached
+        # one never gets there, and the asserts below say so.
+        _STARTED.wait(timeout=10)
+        _GATE.set()
+        for thread in threads:
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+        (status_a, a), (status_b, b) = results["cached"], results["fresh"]
+        assert status_a == status_b == 200
+        assert a["id"] != b["id"]
+        assert a["report"] == b["report"]
+        assert (b["cached"], b["hits"], b["misses"]) == (False, 0, 1)
+        assert _EXECUTIONS == ["gated", "gated"]
+        assert app.metrics.snapshot()["satr_serve_cache_hits_total"] == 0
+
+
 class TestEventStream:
     def test_stream_follows_a_live_run(self, served):
         _, url, _ = served
