@@ -27,6 +27,10 @@ CONFIG_FACTORIES = {
     "shared-ptp-tlb": shared_ptp_tlb_config,
 }
 
+#: `KernelConfig`'s field names, read once: a cell's cache key carries
+#: its configuration's fields, and every warm request plans its cells.
+CONFIG_FIELD_NAMES = tuple(f.name for f in fields(KernelConfig))
+
 
 @dataclass(frozen=True)
 class Scale:
@@ -56,13 +60,16 @@ PAPER = Scale(name="paper", launch_rounds=100, fork_rounds=40,
 
 SCALES: Dict[str, Scale] = {s.name: s for s in (QUICK, DEFAULT, PAPER)}
 
+#: `Scale`'s field names, read once (see ``CONFIG_FIELD_NAMES``).
+_SCALE_FIELD_NAMES = tuple(f.name for f in fields(Scale))
+
 #: The seed every experiment uses unless ``--seed`` overrides it.
 DEFAULT_SEED = 7
 
 
 def scale_to_params(scale: Scale) -> Dict[str, Any]:
     """Flatten a Scale into the JSON dict cell parameters carry."""
-    flat = {f.name: getattr(scale, f.name) for f in fields(Scale)}
+    flat = {name: getattr(scale, name) for name in _SCALE_FIELD_NAMES}
     if flat["apps"] is not None:
         flat["apps"] = list(flat["apps"])
     return flat

@@ -13,7 +13,8 @@ Design rules that make this work:
   rather than by object, so cells travel as plain JSON to worker
   processes that import them fresh, and hash stably into cache keys.
 * Cell parameters are plain JSON values (the ``Scale`` dataclass is
-  flattened with :func:`dataclasses.asdict` before it enters a cell).
+  flattened by ``scale_to_params``, field by field, before it enters a
+  cell).
 * A cell function returns a JSON-serialisable payload; the orchestrator
   canonicalises every payload through one JSON round trip, so a result
   that came from the cache is indistinguishable from a fresh one.
@@ -72,13 +73,18 @@ def kernel_config_fields(config_name: str, **overrides) -> Dict[str, Any]:
     These go into the cell digest so editing any policy knob (or adding
     a new field) invalidates every cached result built under it.
     """
-    from repro.experiments.common import CONFIG_FACTORIES
+    from repro.experiments.common import CONFIG_FACTORIES, CONFIG_FIELD_NAMES
 
     config = CONFIG_FACTORIES[config_name]()
     if overrides:
         config = config.with_(**overrides)
-    flat = jsonable(config)
-    if flat.get("policy") == "baseline":
+    # Every field is a plain value or an enum, so this equals
+    # ``jsonable(config)`` without its per-value reflection.
+    flat = {}
+    for name in CONFIG_FIELD_NAMES:
+        value = getattr(config, name)
+        flat[name] = value.value if isinstance(value, enum.Enum) else value
+    if flat["policy"] == "baseline":
         # The default translation policy is omitted so digests of
         # configurations that predate the field are unchanged (cached
         # baseline results stay valid); any other policy enters the

@@ -2,7 +2,7 @@
 
 Layering::
 
-    ServeServer (ThreadingHTTPServer)        one thread per connection
+    ServeServer (HTTPServer)                 reused handler threads
       └─ _Handler                            routes + JSON/stream I/O
            └─ ServeApp                       the actual service
                 ├─ RunRegistry               records + in-flight dedup
@@ -20,6 +20,11 @@ Endpoints::
     GET  /metrics           Prometheus text format
     GET  /healthz           liveness (503 while draining)
 
+Each accepted connection goes to an idle handler thread; a new one
+starts only when none is idle.  So a closed-loop client reuses one
+thread instead of starting one per connection, and concurrency stays
+unbounded: a long event stream holds its thread, never ``/healthz``'s.
+
 Graceful shutdown: ``begin_drain()`` flips the server to refuse new
 ``POST /run`` with 503 while queued and in-flight runs finish and flush
 to the cache; ``drain()`` then joins the workers.  ``satr serve`` wires
@@ -28,9 +33,10 @@ SIGTERM/SIGINT to exactly that sequence.
 
 import json
 import queue
+import socket
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Callable, Dict, Optional, Tuple
+from http.server import BaseHTTPRequestHandler, HTTPServer
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro import __version__
 from repro.experiments.common import SCALES
@@ -413,20 +419,69 @@ class _Handler(BaseHTTPRequestHandler):
         self.wfile.flush()
 
 
-class ServeServer(ThreadingHTTPServer):
-    """ThreadingHTTPServer bound to one :class:`ServeApp`."""
-
-    daemon_threads = True
+class ServeServer(HTTPServer):
+    """An HTTP server bound to one :class:`ServeApp`, on handler threads
+    that serve one connection after another."""
 
     def __init__(self, address: Tuple[str, int], app: ServeApp,
                  verbose: bool = False) -> None:
         super().__init__(address, _Handler)
         self.app = app
         self.verbose = verbose
+        #: Accepted ``(request, client_address)`` pairs; a None tells one
+        #: handler thread to exit.
+        self._connections: "queue.SimpleQueue[Optional[tuple]]" = (
+            queue.SimpleQueue())
+        self._lock = threading.Lock()
+        self._threads: List[threading.Thread] = []
+        #: Handler threads waiting for a connection, or about to.
+        self._idle = 0
 
     @property
     def port(self) -> int:
         return self.server_address[1]
+
+    def process_request(self, request: socket.socket,
+                        client_address: Any) -> None:
+        """Hand the connection to an idle handler thread, else a new one."""
+        with self._lock:
+            thread = None
+            if self._idle:
+                self._idle -= 1
+            else:
+                thread = threading.Thread(
+                    target=self._serve_connections,
+                    name=f"satr-serve-handler-{len(self._threads)}",
+                    daemon=True)
+                self._threads.append(thread)
+        if thread is not None:
+            thread.start()
+        self._connections.put((request, client_address))
+
+    def _serve_connections(self) -> None:
+        """One handler thread: serve queued connections until told to
+        exit."""
+        while True:
+            connection = self._connections.get()
+            if connection is None:
+                return
+            request, client_address = connection
+            try:
+                self.finish_request(request, client_address)
+            except Exception:
+                self.handle_error(request, client_address)
+            finally:
+                self.shutdown_request(request)
+            with self._lock:
+                self._idle += 1
+
+    def server_close(self) -> None:
+        """Close the listener; each handler thread exits once its
+        connection ends."""
+        super().server_close()
+        with self._lock:
+            for _ in self._threads:
+                self._connections.put(None)
 
 
 def make_server(host: str, port: int, app: ServeApp,

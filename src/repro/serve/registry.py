@@ -1,4 +1,4 @@
-"""The run registry: every run the daemon has seen, with coalescing.
+"""The run registry: the daemon's runs, with coalescing.
 
 One :class:`RunRecord` per *execution*.  Submitting a request whose
 coalescing key matches a queued or running record joins that record
@@ -8,16 +8,22 @@ one execution and one event stream, and both responses carry the same
 deduplication: runs with different keys (a ``no_cache`` request and its
 cached twin among them) each compute their own cache misses.
 
-All state is guarded by a single condition variable; every mutation
-notifies it, so response waiters (``POST /run`` with ``wait``) and
-event-stream followers (``GET /runs/<id>/events``) block on the same
-primitive.
+The history is bounded: every queued and running record is held, and
+the last ``FINISHED_RUNS_KEPT`` finished ones; the record that finished
+longest ago goes first.  An evicted run answers 404.
+
+All state is guarded by one lock with two condition variables on it.
+Every event notifies ``_changed``, which event-stream followers
+(``GET /runs/<id>/events``) wait on; only ``finish`` and ``fail``
+notify ``_ended``, which response waiters (``POST /run`` with
+``wait``) wait on, so a waiter wakes once per run, not once per cell.
 """
 
+import collections
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.serve.model import RunRequest
 
@@ -26,6 +32,10 @@ RUN_STATES = ("queued", "running", "done", "failed")
 
 #: States in which a new identical request may join a record.
 _JOINABLE_STATES = ("queued", "running")
+
+#: Finished records held for ``GET /runs`` and ``GET /runs/<id>``, about
+#: 2 KB each with their reports and events.
+FINISHED_RUNS_KEPT = 1000
 
 
 @dataclass
@@ -85,13 +95,17 @@ class RunRegistry:
     """Thread-safe record store + the coalescing front door."""
 
     def __init__(self, clock: Callable[[], float] = time.monotonic) -> None:
-        self._cond = threading.Condition()
+        lock = threading.Lock()
+        self._changed = threading.Condition(lock)
+        self._ended = threading.Condition(lock)
         self._clock = clock
+        #: The held records by id, in submission order.
         self._runs: Dict[str, RunRecord] = {}
-        self._order: List[str] = []
+        #: Ids of the held finished records, in the order they finished.
+        self._finished: Deque[str] = collections.deque()
         self._inflight_by_key: Dict[str, RunRecord] = {}
-        #: Records per state, kept in step with every transition so
-        #: ``count_state`` never scans the history.
+        #: Held records per state, kept in step with every transition
+        #: and eviction so ``count_state`` never scans the history.
         self._state_counts = {state: 0 for state in RUN_STATES}
         self._counter = 0
 
@@ -105,7 +119,7 @@ class RunRegistry:
         enqueue new work, just wait on the shared record.
         """
         key = request.key()
-        with self._cond:
+        with self._changed:
             existing = self._inflight_by_key.get(key)
             if existing is not None and existing.state in _JOINABLE_STATES:
                 existing.clients += 1
@@ -120,7 +134,6 @@ class RunRegistry:
                 created_s=self._clock(),
             )
             self._runs[record.id] = record
-            self._order.append(record.id)
             self._inflight_by_key[key] = record
             self._state_counts[record.state] += 1
             self._append_event(record, {"type": "state", "state": "queued"})
@@ -129,39 +142,33 @@ class RunRegistry:
     # -- lifecycle ------------------------------------------------------
 
     def mark_running(self, record: RunRecord) -> None:
-        with self._cond:
+        with self._changed:
             self._move(record, "running")
             record.started_s = self._clock()
             self._append_event(record, {"type": "state", "state": "running"})
 
     def finish(self, record: RunRecord, report: str,
                hits: int, misses: int) -> None:
-        with self._cond:
-            self._move(record, "done")
-            record.finished_s = self._clock()
+        with self._changed:
             record.report = report
             record.hits = hits
             record.misses = misses
             record.cached = misses == 0 and hits > 0
-            self._inflight_by_key.pop(record.key, None)
-            self._append_event(record, {
+            self._end(record, "done", {
                 "type": "state", "state": "done",
                 "cached": record.cached, "hits": hits, "misses": misses,
             })
 
     def fail(self, record: RunRecord, error: str) -> None:
-        with self._cond:
-            self._move(record, "failed")
-            record.finished_s = self._clock()
+        with self._changed:
             record.error = error
-            self._inflight_by_key.pop(record.key, None)
-            self._append_event(record, {"type": "state", "state": "failed",
-                                        "error": error})
+            self._end(record, "failed", {"type": "state", "state": "failed",
+                                         "error": error})
 
     def add_cell_event(self, record: RunRecord, name: str, cached: bool,
                        elapsed: float, position: int, total: int) -> None:
         """One orchestrator cell finished (the Telemetry observer)."""
-        with self._cond:
+        with self._changed:
             self._append_event(record, {
                 "type": "cell", "name": name, "cached": cached,
                 "elapsed_s": round(elapsed, 4),
@@ -169,38 +176,54 @@ class RunRegistry:
             })
 
     def _move(self, record: RunRecord, state: str) -> None:
-        # Caller holds the condition.
+        # Caller holds the lock.
         self._state_counts[record.state] -= 1
         self._state_counts[state] += 1
         record.state = state
 
+    def _end(self, record: RunRecord, state: str,
+             event: Dict[str, Any]) -> None:
+        """Finish ``record``, wake its waiters, evict the oldest."""
+        # Caller holds the lock.
+        self._move(record, state)
+        record.finished_s = self._clock()
+        self._inflight_by_key.pop(record.key, None)
+        self._append_event(record, event)
+        self._ended.notify_all()
+        self._finished.append(record.id)
+        if len(self._finished) > FINISHED_RUNS_KEPT:
+            evicted = self._runs.pop(self._finished.popleft())
+            self._state_counts[evicted.state] -= 1
+
     def _append_event(self, record: RunRecord,
                       event: Dict[str, Any]) -> None:
-        # Caller holds the condition.
+        # Caller holds the lock.
         event["seq"] = len(record.events)
         record.events.append(event)
-        self._cond.notify_all()
+        self._changed.notify_all()
 
     # -- lookup / waiting ----------------------------------------------
 
     def get(self, run_id: str) -> Optional[RunRecord]:
-        with self._cond:
+        """The held record ``run_id``; None once evicted or unknown."""
+        with self._changed:
             return self._runs.get(run_id)
 
     def list_runs(self) -> List[Dict[str, Any]]:
-        """Every run's summary, in submission order."""
-        with self._cond:
-            return [self._runs[run_id].summary() for run_id in self._order]
+        """Every held run's summary, in submission order."""
+        with self._changed:
+            return [record.summary() for record in self._runs.values()]
 
     def count_state(self, state: str) -> int:
-        with self._cond:
+        """How many held records are in ``state``."""
+        with self._changed:
             return self._state_counts.get(state, 0)
 
     def wait_finished(self, record: RunRecord,
                       timeout: Optional[float] = None) -> bool:
         """Block until the record reaches done/failed."""
-        with self._cond:
-            return self._cond.wait_for(lambda: record.finished, timeout)
+        with self._ended:
+            return self._ended.wait_for(lambda: record.finished, timeout)
 
     def events_since(self, record: RunRecord, start: int,
                      timeout: Optional[float] = None
@@ -210,8 +233,8 @@ class RunRegistry:
         Returns ``(new events, finished)``; an empty event list with
         ``finished=False`` means the timeout elapsed (stream keepalive).
         """
-        with self._cond:
-            self._cond.wait_for(
+        with self._changed:
+            self._changed.wait_for(
                 lambda: len(record.events) > start or record.finished,
                 timeout)
             return list(record.events[start:]), record.finished

@@ -6,7 +6,8 @@ The load-bearing guarantees:
   the CLI's for the same target/scale/seed, computed or cached;
 * identical in-flight requests coalesce into one execution;
 * drain finishes in-flight runs, flushes them to the cache, and
-  refuses new requests with 503.
+  refuses new requests with 503;
+* the server reuses its handler threads and keeps a bounded history.
 """
 
 import http.client
@@ -33,8 +34,12 @@ from repro.serve import (
     validate_schema,
 )
 from repro.serve.app import ServiceUnavailable
-from repro.serve.registry import RUN_STATES
+from repro.serve.registry import FINISHED_RUNS_KEPT, RUN_STATES
 from repro.serve.loadgen import write_report
+
+# A handler, worker or serving thread that dies fails its test.
+pytestmark = pytest.mark.filterwarnings(
+    "error::pytest.PytestUnhandledThreadExceptionWarning")
 
 # ---------------------------------------------------------------------------
 # Cheap controllable targets (module-level: resolve_cell_fn finds them).
@@ -75,12 +80,12 @@ def _planner(fn_name, tag):
     return planner
 
 
-def _multi_planner(count):
-    """A planner of ``count`` echo cells (a parallel run has work)."""
+def _multi_planner(count, fn_name="echo_cell"):
+    """A planner of ``count`` cells (a parallel run has work)."""
     def planner(scale, seed):
         cells = [Cell(
             experiment="multi", cell_id=f"{scale.name}-{seed}-{n}",
-            fn="tests.test_serve:echo_cell",
+            fn=f"tests.test_serve:{fn_name}",
             params={"tag": f"multi-{n}", "seed": seed, "scale": scale.name},
         ) for n in range(count)]
         return TargetPlan(cells, lambda ps: json.dumps(ps, sort_keys=True))
@@ -103,6 +108,7 @@ FAKE_TARGETS = {
     "gated": _planner("gated_cell", "gated"),
     "boom": _planner("failing_cell", "boom"),
     "echo-then-gated": _echo_then_gated_planner,
+    "six-gated": _multi_planner(6, "gated_cell"),
 }
 
 
@@ -134,9 +140,19 @@ def _post(url, body, timeout=30):
         return error.code, json.loads(error.read())
 
 
+def _stream(url, run_id):
+    """An open ``GET /runs/<id>/events`` response (and its connection)."""
+    host, port = url.split("//")[1].split(":")
+    connection = http.client.HTTPConnection(host, int(port), timeout=30)
+    connection.request("GET", f"/runs/{run_id}/events")
+    response = connection.getresponse()
+    assert response.status == 200
+    return connection, response
+
+
 @pytest.fixture
-def served(tmp_path):
-    """A running daemon over the fake target table + its shared cache."""
+def server(tmp_path):
+    """A running daemon over the fake target table (app at ``.app``)."""
     _GATE.clear()
     _STARTED.clear()
     del _EXECUTIONS[:]
@@ -146,12 +162,19 @@ def served(tmp_path):
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     try:
-        yield app, f"http://127.0.0.1:{server.port}", cache
+        yield server
     finally:
         _GATE.set()
         app.drain(timeout=10)
         server.shutdown()
         server.server_close()
+
+
+@pytest.fixture
+def served(server):
+    """The daemon's app, its URL and its shared cache."""
+    yield (server.app, f"http://127.0.0.1:{server.port}",
+           server.app.cache)
 
 
 # ---------------------------------------------------------------------------
@@ -408,6 +431,115 @@ class TestHttpBasics:
         assert target_labels == {"fork"}
 
 
+class TestHandlerThreads:
+    def test_sequential_connections_reuse_a_thread(self, server):
+        url = f"http://127.0.0.1:{server.port}"
+        for _ in range(50):
+            assert _get_json(f"{url}/healthz")[0] == 200
+            # The client reads the reply before the handler thread is
+            # idle again; a connection that came sooner would rightly
+            # start a second thread.
+            deadline = time.monotonic() + 5
+            while server._idle < len(server._threads):
+                assert time.monotonic() < deadline, "no idle thread"
+                time.sleep(0.001)
+        assert len(server._threads) == 1
+
+    def test_open_event_streams_do_not_block_healthz(self, served):
+        _, url, _ = served
+        status, body = _post(url, {"target": "gated", "seed": 8,
+                                   "wait": False})
+        assert status == 202
+        assert _STARTED.wait(timeout=10)
+        streams = [_stream(url, body["id"]) for _ in range(4)]
+        try:
+            for _, response in streams:
+                assert json.loads(response.readline())["state"] == "queued"
+            started = time.perf_counter()
+            status, health = _get_json(f"{url}/healthz")
+            assert status == 200 and health["status"] == "ok"
+            assert time.perf_counter() - started < 1.0
+        finally:
+            _GATE.set()
+            for connection, response in streams:
+                response.read()
+                connection.close()
+
+    def test_a_raising_handler_leaves_later_connections_served(
+            self, server, monkeypatch):
+        app = server.app
+        url = f"http://127.0.0.1:{server.port}"
+
+        def broken():
+            raise RuntimeError("deliberate handler failure")
+
+        monkeypatch.setattr(app.registry, "list_runs", broken)
+        with pytest.raises((http.client.HTTPException, OSError)):
+            _get(f"{url}/runs")
+        monkeypatch.undo()
+        for _ in range(3):
+            assert _get_json(f"{url}/healthz")[0] == 200
+        assert _get_json(f"{url}/runs")[1] == {"runs": []}
+        assert all(thread.is_alive() for thread in server._threads)
+
+    def test_server_close_stops_every_handler_thread(self):
+        app = ServeApp(cache=None, workers=1, targets=dict(FAKE_TARGETS))
+        server = make_server("127.0.0.1", 0, app)
+        serving = threading.Thread(target=server.serve_forever,
+                                   daemon=True)
+        serving.start()
+        url = f"http://127.0.0.1:{server.port}"
+        # Two kept-alive connections at once need two handler threads.
+        first = http.client.HTTPConnection("127.0.0.1", server.port,
+                                           timeout=30)
+        first.request("GET", "/healthz")
+        assert first.getresponse().read()
+        assert _get_json(f"{url}/healthz")[0] == 200
+        first.close()
+        assert len(server._threads) == 2
+        app.drain(timeout=10)
+        server.shutdown()
+        server.server_close()
+        serving.join(timeout=2)
+        deadline = time.monotonic() + 2.0
+        for thread in server._threads:
+            thread.join(timeout=max(0.0, deadline - time.monotonic()))
+        assert not serving.is_alive()
+        assert not any(thread.is_alive() for thread in server._threads)
+
+
+class TestBoundedHistory:
+    def test_oldest_finished_runs_go_first(self, served):
+        app, url, _ = served
+        registry = app.registry
+        # Submitted first, still running when every later run is done.
+        running, _ = registry.submit(RunRequest(target="launch", seed=1))
+        registry.mark_running(running)
+        finished = []
+        for seed in range(FINISHED_RUNS_KEPT + 5):
+            record, _ = registry.submit(RunRequest(target="fork",
+                                                   seed=seed))
+            registry.mark_running(record)
+            registry.finish(record, "report", hits=1, misses=0)
+            finished.append(record)
+        for record in finished[:5]:
+            assert registry.get(record.id) is None
+            assert _get_json(f"{url}/runs/{record.id}")[0] == 404
+        assert _get_json(f"{url}/runs/{finished[5].id}")[0] == 200
+        assert registry.get(running.id) is running
+        held = [running] + finished[5:]
+        rows = _get_json(f"{url}/runs")[1]["runs"]
+        assert [row["id"] for row in rows] == [r.id for r in held]
+        for state in RUN_STATES:
+            assert registry.count_state(state) == sum(
+                1 for record in held if record.state == state), state
+        # Finishing it evicts the oldest finished record, not itself.
+        registry.finish(running, "report", hits=1, misses=0)
+        assert registry.get(running.id) is running
+        assert registry.get(finished[5].id) is None
+        assert registry.count_state("done") == FINISHED_RUNS_KEPT
+
+
 class TestCoalescing:
     def test_concurrent_identical_requests_share_one_execution(self,
                                                                served):
@@ -489,12 +621,7 @@ class TestEventStream:
         run_id = body["id"]
         assert _STARTED.wait(timeout=10)
 
-        host, port = url.split("//")[1].split(":")
-        connection = http.client.HTTPConnection(host, int(port),
-                                                timeout=30)
-        connection.request("GET", f"/runs/{run_id}/events")
-        response = connection.getresponse()
-        assert response.status == 200
+        connection, response = _stream(url, run_id)
         assert response.headers["Content-Type"] == "application/x-ndjson"
         lines = [json.loads(response.readline())
                  for _ in range(2)]  # queued + running, pre-release.
@@ -538,6 +665,47 @@ class TestEventStream:
         assert [e["type"] for e in events] == ["state", "state", "cell",
                                                "state"]
         assert events[-1]["state"] == "done"
+
+
+class TestOneWakePerRun:
+    def test_waiter_wakes_once_while_the_stream_gets_every_cell(
+            self, served, monkeypatch):
+        app, url, _ = served
+        ended = app.registry._ended
+        calls = {"notify_all": 0, "wait": 0}
+        notify_all, wait = ended.notify_all, ended.wait
+
+        def counted_notify_all():
+            calls["notify_all"] += 1
+            notify_all()
+
+        def counted_wait(timeout=None):
+            calls["wait"] += 1
+            return wait(timeout)
+
+        monkeypatch.setattr(ended, "notify_all", counted_notify_all)
+        monkeypatch.setattr(ended, "wait", counted_wait)
+        results = []
+        poster = threading.Thread(target=lambda: results.append(
+            _post(url, {"target": "six-gated", "seed": 3}, timeout=60)))
+        poster.start()
+        assert _STARTED.wait(timeout=10)
+        deadline = time.monotonic() + 10
+        while calls["wait"] == 0 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert calls["wait"] == 1  # The POST is waiting for the run.
+        connection, response = _stream(url, "run-0001")
+        _GATE.set()
+        events = [json.loads(line) for line in response if line.strip()]
+        connection.close()
+        poster.join(timeout=30)
+        assert not poster.is_alive()
+        (status, body), = results
+        assert status == 200 and body["state"] == "done"
+        assert [e["name"] for e in events if e["type"] == "cell"] == [
+            f"multi/quick-3-{n}" for n in range(6)]
+        assert events[-1]["state"] == "done"
+        assert calls == {"notify_all": 1, "wait": 1}
 
 
 class TestGracefulDrain:
