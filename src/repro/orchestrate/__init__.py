@@ -27,6 +27,7 @@ runs never wait on each other's cells.
 
 from repro.orchestrate.cache import (
     CACHE_DIR_ENV,
+    BoundedMemo,
     ResultCache,
     default_cache_dir,
 )
@@ -45,6 +46,7 @@ from repro.orchestrate.telemetry import CellRecord, Telemetry
 
 __all__ = [
     "CACHE_DIR_ENV",
+    "BoundedMemo",
     "Cell",
     "CellRecord",
     "Orchestrator",

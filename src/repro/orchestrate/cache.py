@@ -15,14 +15,23 @@ misses cleanly, while an unrelated edit re-hits.
 Writes are atomic (temp file + ``os.replace``) so a parallel run's
 workers and a concurrent reader can never observe a torn artifact.
 Corrupt or unreadable artifacts are treated as misses, never errors.
+
+A cache instance holds the records it has read (at most
+``RECORDS_HELD``, oldest out), so a long-lived reader such as
+``satr serve`` reads each file once.  A held record is shared by every
+later ``load`` of its digest and must not be mutated.  ``store`` drops
+the held copy of its digest and ``prune`` drops them all, so a held
+record never outlives a write or a prune made through its instance;
+one made by another process shows once the record has been evicted.
 """
 
 import json
 import os
 import sys
 import tempfile
+import threading
 import time
-from typing import Any, Dict, Iterator, Optional, Tuple
+from typing import Any, Dict, Hashable, Iterator, Optional, Tuple
 
 from repro import __version__
 
@@ -38,19 +47,66 @@ def default_cache_dir() -> str:
     return os.path.join(os.path.expanduser("~"), ".cache", "satr")
 
 
+#: Records one cache instance holds once read.  The four served targets
+#: at quick scale read 18 records (25.5 KB on disk, ~100 KB in memory),
+#: so this holds seven such sets, one per seed, policy or scale served.
+#: Only launch records grow with scale, ~0.4 KB on disk per round.
+RECORDS_HELD = 128
+
+
+class BoundedMemo:
+    """A thread-safe map of at most ``limit`` entries; putting a new key
+    into a full memo drops the oldest one first."""
+
+    def __init__(self, limit: int) -> None:
+        self.limit = limit
+        self._entries: Dict[Hashable, Any] = {}
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def get(self, key: Hashable) -> Any:
+        """The value held for ``key``, or None."""
+        return self._entries.get(key)
+
+    def put(self, key: Hashable, value: Any) -> None:
+        with self._lock:
+            entries = self._entries
+            if key not in entries and len(entries) >= self.limit:
+                del entries[next(iter(entries))]
+            entries[key] = value
+
+    def pop(self, key: Hashable) -> None:
+        with self._lock:
+            self._entries.pop(key, None)
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+
+
 class ResultCache:
     """Digest-keyed JSON artifact store."""
 
     def __init__(self, root: Optional[str] = None) -> None:
         self.root = root or default_cache_dir()
         self._store_warned = False
+        #: Records read from disk, by digest.
+        self._held = BoundedMemo(RECORDS_HELD)
 
     def path(self, digest: str) -> str:
         """The artifact path for one digest."""
         return os.path.join(self.root, digest[:2], f"{digest}.json")
 
     def load(self, digest: str) -> Optional[Dict[str, Any]]:
-        """The stored artifact, or None on miss/corruption."""
+        """The stored artifact, or None on miss/corruption.
+
+        The record is held, not copied: callers must not mutate it.
+        """
+        record = self._held.get(digest)
+        if record is not None:
+            return record
         try:
             with open(self.path(digest), "r", encoding="utf-8") as handle:
                 record = json.load(handle)
@@ -58,6 +114,7 @@ class ResultCache:
             return None
         if not isinstance(record, dict) or "payload" not in record:
             return None
+        self._held.put(digest, record)
         return record
 
     def store(self, digest: str, cell_dict: Dict[str, Any],
@@ -81,6 +138,7 @@ class ResultCache:
             except BaseException:
                 os.unlink(tmp_path)
                 raise
+            self._held.pop(digest)
         except OSError as exc:
             # A read-only or full disk degrades to "no cache": warn once
             # per cache instance so a mid-sweep worker keeps computing
@@ -181,6 +239,7 @@ class ResultCache:
                 os.rmdir(shard)
             except OSError:
                 pass
+        self._held.clear()
         return {"removed": removed, "removed_bytes": removed_bytes}
 
     @staticmethod

@@ -25,6 +25,7 @@ Design rules that make this work:
 
 import dataclasses
 import enum
+import functools
 import gc
 import hashlib
 import importlib
@@ -67,17 +68,32 @@ def jsonable(value: Any) -> Any:
     return value
 
 
+#: Flattened configurations held by ``(name, overrides)``: planning
+#: every target at every scale under every policy asks for 44.  They
+#: are held for the life of the process, so a factory in
+#: ``CONFIG_FACTORIES`` must not change once it has been flattened.
+CONFIG_FIELDS_HELD = 64
+
+
 def kernel_config_fields(config_name: str, **overrides) -> Dict[str, Any]:
     """The flattened `KernelConfig` fields for one named configuration.
 
     These go into the cell digest so editing any policy knob (or adding
-    a new field) invalidates every cached result built under it.
+    a new field) invalidates every cached result built under it.  The
+    fields depend only on the name and the overrides, so each pair is
+    flattened once; every caller gets a dict of its own.
     """
+    return dict(_config_fields(config_name,
+                               tuple(sorted(overrides.items()))))
+
+
+@functools.lru_cache(maxsize=CONFIG_FIELDS_HELD)
+def _config_fields(config_name: str, overrides: tuple) -> Dict[str, Any]:
     from repro.experiments.common import CONFIG_FACTORIES, CONFIG_FIELD_NAMES
 
     config = CONFIG_FACTORIES[config_name]()
     if overrides:
-        config = config.with_(**overrides)
+        config = config.with_(**dict(overrides))
     # Every field is a plain value or an enum, so this equals
     # ``jsonable(config)`` without its per-value reflection.
     flat = {}
@@ -117,16 +133,25 @@ class Cell:
         return f"{self.experiment}/{self.cell_id}"
 
     def digest(self) -> str:
-        """Content address: version + identity + params + config."""
-        key = {
-            "version": __version__,
-            "experiment": self.experiment,
-            "cell_id": self.cell_id,
-            "fn": self.fn,
-            "params": self.params,
-            "config_fields": self.config_fields,
-        }
-        return hashlib.sha256(canonical_json(key).encode("utf-8")).hexdigest()
+        """Content address: version + identity + params + config.
+
+        Hashed once per cell object (a cell's inputs never change after
+        it is built), so a plan that is run again reuses its digests.
+        """
+        digest = self.__dict__.get("_digest")
+        if digest is None:
+            key = {
+                "version": __version__,
+                "experiment": self.experiment,
+                "cell_id": self.cell_id,
+                "fn": self.fn,
+                "params": self.params,
+                "config_fields": self.config_fields,
+            }
+            digest = hashlib.sha256(
+                canonical_json(key).encode("utf-8")).hexdigest()
+            object.__setattr__(self, "_digest", digest)
+        return digest
 
     def to_dict(self) -> Dict[str, Any]:
         """A picklable/JSON-safe description (what workers receive)."""

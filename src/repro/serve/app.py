@@ -7,6 +7,7 @@ Layering::
            └─ ServeApp                       the actual service
                 ├─ RunRegistry               records + in-flight dedup
                 ├─ worker pool (threads)     bounded, FIFO, drainable
+                ├─ held plans                one plan per request key
                 ├─ ResultCache (shared)      cross-client memoization
                 └─ ServerMetrics             /metrics exposition
 
@@ -19,6 +20,11 @@ Endpoints::
     GET  /runs/<id>/events  newline-delimited JSON progress stream
     GET  /metrics           Prometheus text format
     GET  /healthz           liveness (503 while draining)
+
+A warm request does only per-request work: planning is pure, so the
+app keeps the plan of each ``(target, scale, seed, policy)`` it has
+built (``PLANS_HELD``, oldest out), each planned cell hashes its digest
+once, and the cache holds the records it has read.
 
 Each accepted connection goes to an idle handler thread; a new one
 starts only when none is idle.  So a closed-loop client reuses one
@@ -36,12 +42,14 @@ import queue
 import socket
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Optional,
+                    Tuple)
 
 from repro import __version__
 from repro.experiments.common import SCALES
 from repro.metrics import PROMETHEUS_CONTENT_TYPE
 from repro.orchestrate import (
+    BoundedMemo,
     Orchestrator,
     ResultCache,
     Telemetry,
@@ -56,8 +64,15 @@ from repro.serve.model import (
 )
 from repro.serve.registry import RunRecord, RunRegistry
 
+if TYPE_CHECKING:
+    from repro.experiments.runner import TargetPlan
+
 #: How long one events_since poll blocks before emitting a keepalive.
 STREAM_POLL_SECONDS = 10.0
+
+#: Plans held by ``(target, scale, seed, policy)``, 4 to 6 cells each:
+#: every served target under every policy for four (scale, seed) pairs.
+PLANS_HELD = 64
 
 
 class ServiceUnavailable(RuntimeError):
@@ -92,6 +107,7 @@ class ServeApp:
         self.queue_limit = queue_limit
         self.registry = RunRegistry()
         self.metrics = ServerMetrics()
+        self._plans = BoundedMemo(PLANS_HELD)
         self._queue: "queue.Queue[Optional[RunRecord]]" = queue.Queue()
         self._draining = threading.Event()
         self._workers = [
@@ -194,15 +210,7 @@ class ServeApp:
                     self.registry.add_cell_event(
                         record, cell.name, cell.cached, cell.elapsed,
                         position, total))
-            # The policy kwarg is only passed when non-default so
-            # custom (scale, seed)-only planners keep working.
-            if request.policy != "baseline":
-                plan = self.targets[request.target](
-                    SCALES[request.scale], request.seed,
-                    policy=request.policy)
-            else:
-                plan = self.targets[request.target](SCALES[request.scale],
-                                                    request.seed)
+            plan = self._plan(request)
             with open_executor(request.jobs,
                                self.worker_address) as executor:
                 orchestrator = Orchestrator(
@@ -225,6 +233,22 @@ class ServeApp:
             self.registry.fail(record, f"{type(exc).__name__}: {exc}")
             self.metrics.run_finished(request.target, "failed",
                                       seconds=self._latency(record))
+
+    def _plan(self, request: RunRequest) -> "TargetPlan":
+        """The request's plan, built on the first request of its key."""
+        key = (request.target, request.scale, request.seed, request.policy)
+        plan = self._plans.get(key)
+        if plan is None:
+            planner = self.targets[request.target]
+            # The policy kwarg is only passed when non-default so
+            # custom (scale, seed)-only planners keep working.
+            if request.policy != "baseline":
+                plan = planner(SCALES[request.scale], request.seed,
+                               policy=request.policy)
+            else:
+                plan = planner(SCALES[request.scale], request.seed)
+            self._plans.put(key, plan)
+        return plan
 
     @staticmethod
     def _latency(record: RunRecord) -> Optional[float]:

@@ -13,9 +13,9 @@ one complete 400 body instead of a fix-resubmit loop.
 
 :class:`RunRequest` is the normalized, hashable form.  Its ``key()``
 covers exactly the fields that determine the run's *result and cache
-behaviour* (target, scale, seed, no_cache) — not execution details like
-``jobs`` or ``wait`` — so two requests that must produce byte-identical
-reports coalesce onto one in-flight execution.
+behaviour* (target, scale, policy, seed, no_cache) — not execution
+details like ``jobs`` or ``wait`` — so two requests that must produce
+byte-identical reports coalesce onto one in-flight execution.
 """
 
 import hashlib

@@ -4,17 +4,21 @@ The load-bearing guarantee: serial, parallel and cache-replayed runs of
 the same cell list produce byte-identical rendered reports.
 """
 
+import hashlib
 import json
 import os
 import socket
+import sys
 import threading
 import time
 
 import pytest
 
-from repro.experiments import fork, ipc, launch, steady
+from repro import __version__
+from repro.experiments import common, fork, ipc, launch, steady
 from repro.experiments.common import (
     QUICK,
+    SCALES,
     Scale,
     scale_from_params,
     scale_to_params,
@@ -22,16 +26,21 @@ from repro.experiments.common import (
 from repro.experiments.runner import RunContext, plan_target, run_target
 from repro.kernel.counters import Counters
 from repro.orchestrate import (
+    BoundedMemo,
     Cell,
     Orchestrator,
     ResultCache,
     Telemetry,
+    canonical_json,
     canonicalize,
     execute_cell,
     jsonable,
     kernel_config_fields,
     resolve_cell_fn,
 )
+from repro.orchestrate import cache as cache_module
+from repro.orchestrate.cells import _config_fields
+from tests import test_cache_keys
 
 # A daemon, dispatcher or serving thread that dies fails its test.
 pytestmark = pytest.mark.filterwarnings(
@@ -81,6 +90,58 @@ class TestCellBasics:
         by_seed = {fork.table4_cells(TINY, seed=s)[0].digest()
                    for s in (7, 8)}
         assert len(by_seed) == 2
+
+    def test_digest_is_hashed_once_per_cell(self):
+        cell = tiny_cell(3)
+        assert cell.digest() is cell.digest()
+        # The held digest is no field: equality and the worker's view
+        # of the cell are unchanged.
+        assert cell == tiny_cell(3)
+        assert "_digest" not in cell.to_dict()
+
+    def test_held_digest_equals_a_fresh_hash_for_every_locked_cell(self):
+        lock = json.loads(test_cache_keys.GOLDEN.read_text())
+        checked = 0
+        for plan, lines in lock["plans"].items():
+            target, scale, policy = plan.split("/")
+            cells = plan_target(target, SCALES[scale], lock["seed"],
+                                policy).cells
+            assert len(cells) == len(lines), plan
+            for cell, line in zip(cells, lines):
+                held = cell.digest()
+                fresh = hashlib.sha256(canonical_json(
+                    dict(cell.to_dict(), version=__version__))
+                    .encode("utf-8")).hexdigest()
+                assert cell.digest() is held
+                assert held == fresh == line.rsplit(" ", 1)[1], cell.name
+                checked += 1
+        assert checked == 672
+
+    def test_config_fields_are_flattened_once_per_overrides(
+            self, monkeypatch):
+        built = []
+
+        def counting_stock():
+            built.append(1)
+            return common.stock_config()
+
+        monkeypatch.setitem(common.CONFIG_FACTORIES, "counting-stock",
+                            counting_stock)
+        try:
+            first = kernel_config_fields("counting-stock", policy="victima",
+                                         asid_enabled=False)
+            first["asid_enabled"] = "changed by its caller"
+            second = kernel_config_fields("counting-stock",
+                                          asid_enabled=False,
+                                          policy="victima")
+        finally:
+            _config_fields.cache_clear()  # Forget the patched factory.
+        assert built == [1]
+        assert second is not first
+        assert second == dict(first, asid_enabled=False)
+        assert second == dict(kernel_config_fields(
+            "stock", asid_enabled=False, policy="victima"),
+            name="counting-stock")
 
     def test_resolve_cell_fn(self):
         assert resolve_cell_fn("tests.test_orchestrate:echo_cell") is echo_cell
@@ -242,6 +303,100 @@ class TestResultCacheCrashSafety:
         leftovers = [name for _, _, names in os.walk(tmp_path)
                      for name in names if name.endswith(".tmp")]
         assert leftovers == []
+
+
+class TestHeldRecords:
+    """A cache holds the records it has read; its own writes and prunes
+    drop them, so the files stay the truth."""
+
+    def test_a_repeated_load_is_answered_from_memory(self, tmp_path):
+        cache = ResultCache(str(tmp_path))
+        cell = tiny_cell(3)
+        Orchestrator(cache=cache).run([cell])
+        record = cache.load(cell.digest())
+        os.unlink(cache.path(cell.digest()))
+        assert cache.load(cell.digest()) is record
+        assert ResultCache(str(tmp_path)).load(cell.digest()) is None
+
+    def test_store_holds_nothing_and_drops_the_held_copy(self, tmp_path):
+        cache = ResultCache(str(tmp_path))
+        cell = tiny_cell(3)
+        digest = cell.digest()
+        cache.store(digest, cell.to_dict(), {"value": 1}, 0.0)
+        assert len(cache._held) == 0
+        assert cache.load(digest)["payload"] == {"value": 1}
+        assert len(cache._held) == 1
+        cache.store(digest, cell.to_dict(), {"value": 2}, 0.0)
+        assert len(cache._held) == 0
+        assert cache.load(digest)["payload"] == {"value": 2}
+
+    def test_prune_empties_the_held_records(self, tmp_path):
+        cache = ResultCache(str(tmp_path))
+        cells = [tiny_cell(v) for v in range(3)]
+        Orchestrator(cache=cache).run(cells)
+        assert all(cache.load(cell.digest()) for cell in cells)
+        cache.prune(max_bytes=0)
+        assert len(cache._held) == 0
+        assert [cache.load(cell.digest()) for cell in cells] == [None] * 3
+
+    def test_the_oldest_record_goes_first(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cache_module, "RECORDS_HELD", 2)
+        cache = ResultCache(str(tmp_path))
+        cells = [tiny_cell(v) for v in range(3)]
+        Orchestrator(cache=cache).run(cells)
+        records = [cache.load(cell.digest()) for cell in cells]
+        for cell in cells:
+            os.unlink(cache.path(cell.digest()))
+        assert cache.load(cells[0].digest()) is None
+        assert cache.load(cells[1].digest()) is records[1]
+        assert cache.load(cells[2].digest()) is records[2]
+
+    def test_bounded_memo_drops_the_oldest_put(self):
+        memo = BoundedMemo(2)
+        memo.put("a", 1)
+        memo.put("b", 2)
+        memo.put("a", 3)  # A new value keeps the key's age.
+        memo.put("c", 4)
+        assert (memo.get("a"), memo.get("b"), memo.get("c")) == (None, 2, 4)
+        memo.pop("b")
+        memo.pop("missing")
+        assert len(memo) == 1
+        memo.clear()
+        assert len(memo) == 0
+
+    def test_threads_sharing_a_tiny_cache_get_their_own_records(
+            self, tmp_path, monkeypatch):
+        """``satr serve``'s workers share one cache: with room for 3 of
+        8 records, loads, evictions and disk reads interleave."""
+        monkeypatch.setattr(cache_module, "RECORDS_HELD", 3)
+        cache = ResultCache(str(tmp_path))
+        cells = [tiny_cell(v) for v in range(8)]
+        Orchestrator(cache=cache).run(cells)
+        wrong = []
+
+        def worker(offset: int) -> None:
+            for index in range(1000):
+                cell = cells[(offset + index) % len(cells)]
+                record = cache.load(cell.digest())
+                if record is None or record["payload"] != echo_cell(
+                        cell.params):
+                    wrong.append(cell.name)
+                if len(cache._held) > 3:
+                    wrong.append("over the bound")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(offset,))
+                       for offset in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
 
 
 class TestExperimentCells:

@@ -13,6 +13,7 @@ The load-bearing guarantees:
 import http.client
 import json
 import random
+import sys
 import threading
 import time
 import urllib.error
@@ -33,7 +34,9 @@ from repro.serve import (
     run_loadgen,
     validate_schema,
 )
+from repro.serve import app as app_module
 from repro.serve.app import ServiceUnavailable
+from repro.serve.model import SERVE_TARGETS
 from repro.serve.registry import FINISHED_RUNS_KEPT, RUN_STATES
 from repro.serve.loadgen import write_report
 
@@ -612,6 +615,82 @@ class TestNoCacheOverlap:
         assert app.metrics.snapshot()["satr_serve_cache_hits_total"] == 0
 
 
+class TestHeldPlans:
+    """Planning is pure, so the app plans each request key once."""
+
+    def test_a_repeated_key_plans_once(self, tmp_path):
+        planned = []
+
+        def planner(scale, seed, policy="baseline"):
+            planned.append((scale.name, seed, policy))
+            return FAKE_TARGETS["fork"](scale, seed)
+
+        app = ServeApp(cache=ResultCache(str(tmp_path)), workers=1,
+                       targets={"fork": planner})
+        app.start()
+        try:
+            for request in (RunRequest(target="fork", seed=3),
+                            RunRequest(target="fork", seed=3),
+                            RunRequest(target="fork", seed=3,
+                                       no_cache=True),
+                            RunRequest(target="fork", seed=4),
+                            RunRequest(target="fork", seed=3,
+                                       policy="victima"),
+                            RunRequest(target="fork", seed=3,
+                                       scale="default")):
+                record, _ = app.submit(request)
+                assert app.registry.wait_finished(record, timeout=30)
+                assert record.state == "done", record.error
+        finally:
+            app.drain(timeout=10)
+        assert planned == [("quick", 3, "baseline"), ("quick", 4, "baseline"),
+                           ("quick", 3, "victima"), ("default", 3, "baseline")]
+
+    def test_the_oldest_plan_goes_first(self, monkeypatch):
+        monkeypatch.setattr(app_module, "PLANS_HELD", 2)
+        app = ServeApp(cache=None, targets=dict(FAKE_TARGETS))
+        first, second, third = (RunRequest(target="fork", seed=seed)
+                                for seed in (1, 2, 3))
+        held = [app._plan(request) for request in (first, second, third)]
+        assert app._plan(third) is held[2]
+        assert app._plan(second) is held[1]
+        assert app._plan(first) is not held[0]
+
+    def test_threads_sharing_a_tiny_memo_get_their_own_plans(
+            self, monkeypatch):
+        """Both run workers plan: with room for 2 of 6 keys, plans,
+        evictions and re-plans interleave."""
+        monkeypatch.setattr(app_module, "PLANS_HELD", 2)
+        app = ServeApp(cache=None, targets=dict(FAKE_TARGETS))
+        requests = [RunRequest(target=target, seed=seed)
+                    for target in ("fork", "launch") for seed in (1, 2, 3)]
+        wrong = []
+
+        def worker(offset: int) -> None:
+            for index in range(2000):
+                request = requests[(offset + index) % len(requests)]
+                params = app._plan(request).cells[0].params
+                if (params["tag"], params["seed"]) != (request.target,
+                                                       request.seed):
+                    wrong.append(request)
+                if len(app._plans) > 2:
+                    wrong.append("over the bound")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(offset,))
+                       for offset in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+
+
 class TestEventStream:
     def test_stream_follows_a_live_run(self, served):
         _, url, _ = served
@@ -814,6 +893,35 @@ class TestCliByteIdentity:
             app.drain(timeout=60)
             server.shutdown()
             server.server_close()
+
+
+@pytest.mark.slow
+class TestHeldRecordsStayIntact:
+    def test_warm_runs_of_every_target_match_the_cold_run(self, tmp_path):
+        """Renders read held records in place: each warm report must
+        equal the cold one, and each held record its file."""
+        cache = ResultCache(str(tmp_path / "cache"))
+        app = ServeApp(cache=cache, workers=1)
+        app.start()
+        runs = {target: [] for target in SERVE_TARGETS}
+        try:
+            for _ in range(3):  # Cold, from disk, from memory.
+                for target in SERVE_TARGETS:
+                    record, _ = app.submit(RunRequest(target=target))
+                    assert app.registry.wait_finished(record, timeout=300)
+                    assert record.state == "done", record.error
+                    runs[target].append(
+                        (record.report, record.hits, record.misses))
+        finally:
+            app.drain(timeout=60)
+        for target, ((cold, hits, misses), *warm) in runs.items():
+            assert hits == 0 and misses > 0, target
+            assert warm == [(cold, misses, 0)] * 2, target
+        held = cache._held._entries
+        assert len(held) == 18
+        for digest, record in held.items():
+            with open(cache.path(digest), encoding="utf-8") as handle:
+                assert record == json.load(handle), digest
 
 
 class TestWorkerPoolIntegration:
