@@ -50,7 +50,10 @@ def percentile(sorted_values: Sequence[float], fraction: float) -> float:
     if lower == upper:
         return sorted_values[lower]
     weight = position - lower
-    return sorted_values[lower] * (1 - weight) + sorted_values[upper] * weight
+    low, high = sorted_values[lower], sorted_values[upper]
+    # Rounding (subnormal underflow, say) can carry the blend just
+    # outside its neighbours; clamp so a quantile never leaves them.
+    return min(max(low * (1 - weight) + high * weight, low), high)
 
 
 @dataclass(frozen=True)

@@ -3,48 +3,33 @@
 One frame is a 4-byte big-endian length followed by that many bytes of
 UTF-8 canonical JSON (sorted keys, no spaces — the same
 :func:`repro.orchestrate.canonical_json` the cache digests use).  The
-format is deliberately dumb: any byte stream works, so the same
-reader/writer pair serves the daemon's worker pipes (stdin/stdout of a
-subprocess) and its client sockets (unix or TCP).
+format is deliberately dumb: any byte stream works, and the one in use
+is a worker's stdin/stdout pipe pair.
 
 Canonical JSON on the wire is load-bearing for the byte-identity
-contract: a payload computed in a warm worker arrives at the client
+contract: a payload computed in a warm worker arrives in the parent
 with sorted key order, exactly like a payload canonicalised in-process
 or replayed from the cache, so reports merge byte-identically no
 matter which executor produced each cell.
 
 Frame vocabulary (``type`` field):
 
-==========  ======================  =================================
-type        direction               meaning
-==========  ======================  =================================
-hello       both                    handshake: version + worker count
-run         client->daemon->worker  execute one cell (``id``, ``cell``)
-result      worker->daemon->client  the cell's payload + elapsed time
-error       daemon/worker->client   kind: exception|crash|timeout|...
-ping/pong   both                    heartbeat / liveness probe
-stats       client->daemon          worker/queue gauges snapshot
-shutdown    daemon->worker          drain: finish and exit
-==========  ======================  =================================
-
-Addresses: ``unix:/path/to.sock`` (or any string containing ``/``) is
-a unix-domain socket; ``tcp:HOST:PORT`` (or ``HOST:PORT``) is TCP for
-multi-host pools.  ``$SATR_WORKERS`` holds the default address.
+==========  ===============  ========================================
+type        direction        meaning
+==========  ===============  ========================================
+hello       worker->parent   the worker is up: its pid and version
+run         parent->worker   execute one cell (``id``, ``cell``)
+result      worker->parent   the cell's payload + elapsed, same ``id``
+error       worker->parent   kind: exception (the cell raised) or
+                             protocol (a frame it did not understand)
+==========  ===============  ========================================
 """
 
 import json
-import os
-import socket
 import struct
-from typing import Any, BinaryIO, Optional, Tuple, Union
+from typing import Any, BinaryIO, Optional
 
 from repro.orchestrate.cells import canonical_json
-
-#: Environment variable naming the default worker-pool address.
-WORKERS_ENV = "SATR_WORKERS"
-
-#: Bumped when the frame vocabulary changes incompatibly.
-PROTOCOL_VERSION = 1
 
 #: Hard cap on one frame; a longer length prefix means a corrupt or
 #: hostile stream, not a real payload.
@@ -108,112 +93,3 @@ def _read_exact(stream: BinaryIO, count: int) -> Optional[bytes]:
         chunks.append(chunk)
         got += len(chunk)
     return b"".join(chunks)
-
-
-# ---------------------------------------------------------------------------
-# Addresses.
-# ---------------------------------------------------------------------------
-
-#: Parsed address: ("unix", path) or ("tcp", (host, port)).
-Address = Tuple[str, Union[str, Tuple[str, int]]]
-
-
-def default_address() -> Optional[str]:
-    """``$SATR_WORKERS``, or None when unset."""
-    return os.environ.get(WORKERS_ENV) or None
-
-
-def parse_address(address: str) -> Address:
-    """Classify one address string (see the module docstring)."""
-    if not address:
-        raise ValueError("empty worker-pool address")
-    if address.startswith("unix:"):
-        return ("unix", address[len("unix:"):])
-    if address.startswith("tcp:"):
-        rest = address[len("tcp:"):]
-        host, sep, port = rest.rpartition(":")
-        if not sep or not host:
-            raise ValueError(
-                f"tcp address must look like tcp:HOST:PORT, got "
-                f"{address!r}")
-        return ("tcp", (host, _parse_port(port, address)))
-    if "/" in address or address.startswith("."):
-        return ("unix", address)
-    host, sep, port = address.rpartition(":")
-    if sep and host:
-        return ("tcp", (host, _parse_port(port, address)))
-    raise ValueError(
-        f"cannot classify worker-pool address {address!r}; use "
-        f"unix:/path.sock or tcp:HOST:PORT")
-
-
-def _parse_port(text: str, address: str) -> int:
-    try:
-        port = int(text)
-    except ValueError:
-        raise ValueError(f"bad port in address {address!r}") from None
-    if not 0 <= port <= 65535:
-        raise ValueError(f"port out of range in address {address!r}")
-    return port
-
-
-def connect(address: str, timeout: Optional[float] = None) -> socket.socket:
-    """A connected client socket for one address string."""
-    family, target = parse_address(address)
-    if family == "unix":
-        sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-    else:
-        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    try:
-        sock.settimeout(timeout)
-        sock.connect(target)
-    except BaseException:
-        sock.close()
-        raise
-    return sock
-
-
-def bind(address: str, backlog: int = 64) -> socket.socket:
-    """A listening socket for one address string.
-
-    A stale unix socket file (no listener behind it) is unlinked and
-    rebound; a live one raises, so two daemons never fight over a path.
-    """
-    family, target = parse_address(address)
-    if family == "unix":
-        assert isinstance(target, str)
-        if os.path.exists(target):
-            probe = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            try:
-                probe.settimeout(1.0)
-                probe.connect(target)
-            except OSError:
-                os.unlink(target)  # Stale: the old daemon is gone.
-            else:
-                probe.close()
-                raise OSError(
-                    f"a worker pool is already listening on {target}")
-            finally:
-                probe.close()
-        directory = os.path.dirname(target)
-        if directory:
-            os.makedirs(directory, exist_ok=True)
-        sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-    else:
-        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-    try:
-        sock.bind(target)
-        sock.listen(backlog)
-    except BaseException:
-        sock.close()
-        raise
-    return sock
-
-
-def bound_address(sock: socket.socket) -> str:
-    """The address string a listening socket answers on."""
-    if sock.family == socket.AF_UNIX:
-        return f"unix:{sock.getsockname()}"
-    host, port = sock.getsockname()[:2]
-    return f"tcp:{host}:{port}"

@@ -1,17 +1,18 @@
 """One warm worker: import ``repro`` once, then loop on cell frames.
 
-Run as ``python -m repro.distrib.worker`` by the pool daemon.  The
-worker claims the real stdout for the frame stream and points fd 1 at
-stderr, so a stray ``print`` inside a cell function lands in the
-daemon's log instead of corrupting a frame.
+Started as ``python -m repro.distrib.worker`` by
+:class:`~repro.distrib.local.LocalWorkers`, the only writer of its
+stdin.  The worker claims the real stdout for the frame stream and
+points fd 1 at stderr, so a stray ``print`` inside a cell function
+lands on the command's stderr instead of corrupting a frame.
 
-The loop is strictly request/reply: the daemon sends one ``run`` (or
-``ping``/``shutdown``) frame and the worker answers with exactly one
-``result``/``error`` (or ``pong``) frame, so the daemon can wait on
-the pipe with a plain select and a deadline.  A cell exception is an
-*answer* (``kind: exception``), not a crash — the client re-executes
-such cells in-process so the exception surfaces exactly as a serial
-run would raise it.
+The loop is strictly request/reply: the parent sends one ``run``
+frame and the worker answers with exactly one ``result`` or ``error``
+frame, so the parent can wait on the pipe with a plain select.  End
+of stdin ends the worker.  A cell exception is an *answer* (``kind:
+exception``), not a crash; the parent re-executes such cells
+in-process so the exception surfaces exactly as a serial run would
+raise it.
 """
 
 import os
@@ -26,7 +27,7 @@ from repro.orchestrate.cells import execute_cell
 
 
 def serve(inp: BinaryIO, out: BinaryIO) -> int:
-    """The worker loop: hello, then answer frames until EOF/shutdown."""
+    """The worker loop: hello, then answer frames until end of input."""
     write_frame(out, {"type": "hello", "pid": os.getpid(),
                       "version": __version__})
     while True:
@@ -37,11 +38,6 @@ def serve(inp: BinaryIO, out: BinaryIO) -> int:
         if frame is None:
             return 0
         kind = frame.get("type") if isinstance(frame, dict) else None
-        if kind == "shutdown":
-            return 0
-        if kind == "ping":
-            write_frame(out, {"type": "pong", "pid": os.getpid()})
-            continue
         if kind == "run":
             started = time.perf_counter()
             try:

@@ -66,16 +66,6 @@ p50/p95/p99 latency and throughput::
     satr loadgen --url http://127.0.0.1:8080 --targets fork,ipc \\
         --concurrency 4 --requests 40 -o loadgen.json
 
-The ``workers`` subcommand runs the persistent warm-worker pool
-daemon (see :mod:`repro.distrib`): N workers import ``repro`` once
-and serve cell execution over a unix or TCP socket.  Every cell
-subcommand can then dispatch to it with ``--workers-at`` (or just by
-exporting ``$SATR_WORKERS``), which takes precedence over ``--jobs``::
-
-    satr workers --address unix:/tmp/satr.sock -n 4
-    satr compare --scale quick --workers-at unix:/tmp/satr.sock
-    SATR_WORKERS=unix:/tmp/satr.sock satr all --scale quick
-
 The ``sweep`` subcommand writes a target's cells into a JSONL
 manifest, one payload line per cell in plan order, and ``--since``
 re-executes only cells whose config digest changed since a previous
@@ -354,11 +344,6 @@ def _add_exec_args(parser: argparse.ArgumentParser) -> None:
              "command's first cache miss; 1 runs them in-process "
              "(default: 1)")
     parser.add_argument(
-        "--workers-at", default=None, metavar="ADDR",
-        help="run cells on the 'satr workers' daemon at ADDR, "
-             "unix:/path.sock or tcp:HOST:PORT, instead of --jobs "
-             "(default: $SATR_WORKERS)")
-    parser.add_argument(
         "--cache-dir", default=None, metavar="DIR",
         help="result-cache root (default: $SATR_CACHE_DIR or "
              "~/.cache/satr)")
@@ -375,13 +360,10 @@ def _orchestrated(args: argparse.Namespace
     The executor lives as long as the ``with`` block, so one command's
     local workers serve every target it runs after they start.
     """
-    from repro.distrib import default_address
-
     telemetry = Telemetry(
         progress=lambda line: print(line, file=sys.stderr, flush=True))
     cache = None if args.no_cache else ResultCache(args.cache_dir)
-    address = args.workers_at or default_address()
-    with open_executor(args.jobs, address) as executor:
+    with open_executor(args.jobs) as executor:
         yield Orchestrator(cache=cache, telemetry=telemetry,
                            executor=executor), telemetry
 
@@ -724,11 +706,6 @@ def serve_main(argv) -> int:
                              "(handy with --port 0)")
     parser.add_argument("--cache-dir", default=None, metavar="DIR")
     parser.add_argument("--no-cache", action="store_true")
-    parser.add_argument("--worker-pool", default=None, metavar="ADDR",
-                        help="dispatch run cells to a warm-worker pool "
-                             "('satr workers') at unix:/path.sock or "
-                             "tcp:HOST:PORT instead of executing "
-                             "in-process")
     parser.add_argument("--verbose", action="store_true",
                         help="log each HTTP request to stderr")
     args = parser.parse_args(argv)
@@ -741,8 +718,7 @@ def serve_main(argv) -> int:
 
     cache = None if args.no_cache else ResultCache(args.cache_dir)
     app = ServeApp(cache=cache, workers=args.workers,
-                   queue_limit=args.queue_limit,
-                   worker_address=args.worker_pool)
+                   queue_limit=args.queue_limit)
     server = make_server(args.host, args.port, app, verbose=args.verbose)
     print(f"[satr] serve: listening on http://{args.host}:{server.port} "
           f"({args.workers} worker(s), cache "
@@ -834,61 +810,6 @@ def loadgen_main(argv) -> int:
         loadgen.write_report(report, args.output)
         print(f"[satr] loadgen report -> {args.output}", file=sys.stderr)
     return 0 if report["errors"] == 0 else 1
-
-
-def workers_main(argv) -> int:
-    """The ``satr workers`` subcommand: the warm-worker pool daemon."""
-    import json as _json
-
-    from repro.distrib import DEFAULT_SOCKET, fetch_pool_stats, run_daemon
-    from repro.distrib.protocol import default_address
-
-    parser = argparse.ArgumentParser(
-        prog="satr workers",
-        description=("Run the persistent warm-worker pool: N workers "
-                     "import repro once and serve cell execution over "
-                     "a unix or TCP socket (length-prefixed canonical-"
-                     "JSON frames).  Point any satr subcommand at it "
-                     "with --workers-at / $SATR_WORKERS; --jobs N starts "
-                     "a private pool like it for one command.  SIGTERM "
-                     "drains: queued cells finish, workers stop, exit 0."),
-    )
-    parser.add_argument("--address", default=None, metavar="ADDR",
-                        help="unix:/path.sock or tcp:HOST:PORT (default: "
-                             f"$SATR_WORKERS or {DEFAULT_SOCKET})")
-    parser.add_argument("-n", "--workers", type=int, default=2, metavar="N",
-                        help="warm worker processes (default: 2)")
-    parser.add_argument("--cell-timeout", type=float, default=None,
-                        metavar="SECONDS",
-                        help="per-cell budget; an over-budget cell kills "
-                             "its worker and the client runs the cell "
-                             "in-process (default: none)")
-    parser.add_argument("--address-file", default=None, metavar="PATH",
-                        help="write the bound address here once "
-                             "listening (handy with tcp:127.0.0.1:0)")
-    parser.add_argument("--stats", action="store_true",
-                        help="query a running daemon's stats as JSON "
-                             "and exit")
-    parser.add_argument("--quiet", action="store_true",
-                        help="suppress the daemon's stderr log lines")
-    args = parser.parse_args(argv)
-    if args.workers < 1:
-        parser.error("--workers must be >= 1")
-    if args.cell_timeout is not None and args.cell_timeout <= 0:
-        parser.error("--cell-timeout must be > 0")
-    address = args.address or default_address() or DEFAULT_SOCKET
-    if args.stats:
-        try:
-            stats = fetch_pool_stats(address)
-        except (OSError, ValueError, RuntimeError) as exc:
-            print(f"[satr] workers: no pool at {address} ({exc})",
-                  file=sys.stderr)
-            return 1
-        print(_json.dumps(stats, indent=2, sort_keys=True))
-        return 0
-    return run_daemon(address, args.workers,
-                      cell_timeout=args.cell_timeout, quiet=args.quiet,
-                      address_file=args.address_file)
 
 
 def _parse_size(text: str, parser: argparse.ArgumentParser) -> int:
@@ -1060,8 +981,6 @@ def main(argv=None) -> int:
         return serve_main(argv[1:])
     if argv and argv[0] == "loadgen":
         return loadgen_main(argv[1:])
-    if argv and argv[0] == "workers":
-        return workers_main(argv[1:])
     if argv and argv[0] == "cache":
         return cache_main(argv[1:])
     if argv and argv[0] == "sweep":
@@ -1075,7 +994,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "target",
         help=("one of: all, trace, check, metrics, compare, bench, "
-              "serve, loadgen, workers, sweep, cache, "
+              "serve, loadgen, sweep, cache, "
               f"{', '.join(sorted(TARGETS))}"),
     )
     parser.add_argument(

@@ -9,13 +9,13 @@ It takes ``(index, cell_dict)`` work items and yields one
 ``Orchestrator.run`` stores and reports each cell as it lands and puts
 the payloads back in plan order.  :class:`SerialExecutor` is the
 ``--jobs 1`` path, and :func:`run_serial` is the tests' reference.
-The one parallel executor is ``repro.distrib.DistribExecutor``, over a
-``satr workers`` daemon or over the local warm workers ``--jobs N``
-starts (``repro.distrib.local``); :func:`open_executor` holds the rule
-that picks one.  The orchestrator neither knows nor cares which one it
-holds: byte-identity of the merged report is the shared contract.  A
-parallel executor that degrades to in-process execution announces it
-through ``on_fallback`` — slower, never wrong.
+The one parallel executor is ``repro.distrib.LocalWorkers``, the warm
+workers ``--jobs N`` starts and drives over their pipes;
+:func:`open_executor` holds the rule that picks one.  The orchestrator
+neither knows nor cares which one it holds: byte-identity of the
+merged report is the shared contract.  A parallel executor that
+degrades to in-process execution announces it through
+``on_fallback`` — slower, never wrong.
 """
 
 import contextlib
@@ -66,21 +66,14 @@ class SerialExecutor:
             yield _run_one(item)
 
 
-def open_executor(jobs: int,
-                  address: Optional[str] = None) -> ContextManager[Any]:
+def open_executor(jobs: int) -> ContextManager[Any]:
     """The executor one command or served run gets, as a context.
 
-    ``address`` (``--workers-at`` / ``$SATR_WORKERS``) selects that
-    ``satr workers`` daemon.  Otherwise ``jobs > 1`` holds that many
-    local warm workers for the life of the context, started by the
-    first batch with cells to run, and ``jobs == 1`` runs in-process
-    and starts nothing.  The distrib imports are local so a serial run
-    never loads the socket layer.
+    ``jobs > 1`` holds that many local warm workers for the life of
+    the context, started by the first batch with cells to run, and
+    ``jobs == 1`` runs in-process and starts nothing.  The distrib
+    import is local so a serial run never loads the worker layer.
     """
-    if address:
-        from repro.distrib.client import DistribExecutor
-
-        return contextlib.nullcontext(DistribExecutor(address))
     if jobs == 1:
         return contextlib.nullcontext(SerialExecutor())
     from repro.distrib.local import local_workers

@@ -5,8 +5,8 @@ and returns their payloads **in list order**:
 
 1. every cell's digest is probed against the result cache;
 2. the misses run through the configured executor (in-process serial,
-   or warm workers: local to the command, or a ``satr workers``
-   daemon), whose results arrive in completion order;
+   or the command's local warm workers), whose results arrive in
+   completion order;
 3. each fresh result is stored and reported (progress line, telemetry
    observer) the moment it lands, so a run that raises keeps every
    cell finished before it, and a served run's event stream moves

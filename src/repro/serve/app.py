@@ -95,14 +95,12 @@ class ServeApp:
 
     def __init__(self, cache: Optional[ResultCache] = None,
                  workers: int = 2, queue_limit: int = 64,
-                 targets: Optional[Dict[str, Callable]] = None,
-                 worker_address: Optional[str] = None) -> None:
+                 targets: Optional[Dict[str, Callable]] = None) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         if queue_limit < 1:
             raise ValueError(f"queue_limit must be >= 1, got {queue_limit}")
         self.cache = cache
-        self.worker_address = worker_address
         self.targets = targets if targets is not None else default_targets()
         self.queue_limit = queue_limit
         self.registry = RunRegistry()
@@ -125,21 +123,6 @@ class ServeApp:
         self.metrics.register_gauge(
             "satr_serve_draining",
             lambda: 1.0 if self._draining.is_set() else 0.0)
-        self.metrics.register_gauge("satr_serve_workers_alive",
-                                    lambda: self._pool_stat("workers_alive"))
-        self.metrics.register_gauge("satr_serve_workers_queue_depth",
-                                    lambda: self._pool_stat("queue_depth"))
-
-    def _pool_stat(self, key: str) -> float:
-        """One live worker-pool gauge; 0 without (or with a dead) pool."""
-        if self.worker_address is None:
-            return 0.0
-        from repro.distrib import fetch_pool_stats
-
-        try:
-            return float(fetch_pool_stats(self.worker_address).get(key, 0))
-        except Exception:
-            return 0.0
 
     # -- lifecycle ------------------------------------------------------
 
@@ -211,8 +194,7 @@ class ServeApp:
                         record, cell.name, cell.cached, cell.elapsed,
                         position, total))
             plan = self._plan(request)
-            with open_executor(request.jobs,
-                               self.worker_address) as executor:
+            with open_executor(request.jobs) as executor:
                 orchestrator = Orchestrator(
                     cache=None if request.no_cache else self.cache,
                     telemetry=telemetry,

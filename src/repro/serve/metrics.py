@@ -45,11 +45,6 @@ SERVE_METRIC_SPECS = [
     MetricSpec("satr_executor_fallbacks_total", "counter",
                "Announced executor fallbacks: times a warm-worker "
                "executor degraded to running cells in-process."),
-    MetricSpec("satr_serve_workers_alive", "gauge",
-               "Live processes in the attached warm-worker pool "
-               "(0 when no pool is attached or it is unreachable)."),
-    MetricSpec("satr_serve_workers_queue_depth", "gauge",
-               "Cells queued in the attached warm-worker pool."),
     MetricSpec("satr_serve_queue_depth", "gauge",
                "Runs queued and waiting for a worker."),
     MetricSpec("satr_serve_inflight_runs", "gauge",

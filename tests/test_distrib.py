@@ -1,9 +1,8 @@
-"""The warm-worker pool: protocol, daemon, client, fallback ladder.
+"""The warm workers: frames, the pipe-driven executor, its fallbacks.
 
-The load-bearing guarantee is the same byte-identity contract the
-other executors carry: a cell list run through ``DistribExecutor``
-(2+ warm workers, crashes and all) produces the same payload bytes a
-serial run produces.
+The load-bearing guarantee is the byte-identity contract every
+executor carries: a cell list run on ``local_workers(2)`` (crashes and
+all) produces the same payload bytes a serial run produces.
 """
 
 import io
@@ -16,22 +15,17 @@ import time
 import pytest
 
 from repro.distrib import (
-    DistribExecutor,
-    PROTOCOL_VERSION,
     ProtocolError,
-    WorkersDaemon,
-    fetch_pool_stats,
-    parse_address,
-    pool_alive,
+    local_workers,
     read_frame,
     write_frame,
 )
-from repro.distrib.client import MISSED_HEARTBEATS
+from repro.distrib import local
 from repro.orchestrate import Orchestrator, Telemetry, canonical_json
 from repro.orchestrate.cells import Cell
 from repro.orchestrate.executor import run_serial
 
-# A daemon, dispatcher or serving thread that dies fails its test.
+# A test thread that dies fails its test.
 pytestmark = pytest.mark.filterwarnings(
     "error::pytest.PytestUnhandledThreadExceptionWarning")
 
@@ -52,8 +46,7 @@ def crash_once_cell(params):
     """Kill the hosting worker the first time, succeed the second.
 
     The sentinel file makes the crash happen exactly once, so the
-    daemon's requeue-on-another-worker retry is what produces the
-    eventual result.
+    respawned worker's second attempt is what produces the result.
     """
     sentinel = params["sentinel"]
     if not os.path.exists(sentinel):
@@ -61,6 +54,13 @@ def crash_once_cell(params):
             handle.write("crashed\n")
         os._exit(17)
     return {"value": params["value"], "recovered": True}
+
+
+def worker_killing_cell(params):
+    """Kill every worker that runs it; succeed in the ``host`` process."""
+    if os.getpid() != params["host"]:
+        os._exit(17)
+    return {"value": params["value"], "host": True}
 
 
 def sleepy_cell(params):
@@ -94,26 +94,44 @@ def _in_order(runs):
     return sorted(runs, key=lambda run: run[0])
 
 
+def _same_bytes(runs, items):
+    return ([canonical_json(run[1]) for run in _in_order(runs)]
+            == [canonical_json(run[1]) for run in run_serial(items)])
+
+
+@pytest.fixture()
+def spawned(tmp_path, monkeypatch):
+    """Every worker the executor spawns; temp files land in tmp_path."""
+    import tempfile
+
+    workers = []
+    original = local.Worker.__init__
+
+    def tracked(worker):
+        original(worker)
+        workers.append(worker)
+
+    monkeypatch.setattr(local.Worker, "__init__", tracked)
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    return workers
+
+
 # ---------------------------------------------------------------------------
-# Protocol units (no daemon needed).
+# Protocol units (no worker needed).
 # ---------------------------------------------------------------------------
 
 class TestFrames:
     def test_round_trip(self, tmp_path):
-        import io
-
         buffer = io.BytesIO()
         write_frame(buffer, {"type": "run", "id": 3, "cell": {"b": 1}})
-        write_frame(buffer, {"type": "ping"})
+        write_frame(buffer, {"type": "hello"})
         buffer.seek(0)
         assert read_frame(buffer) == {"type": "run", "id": 3,
                                       "cell": {"b": 1}}
-        assert read_frame(buffer) == {"type": "ping"}
+        assert read_frame(buffer) == {"type": "hello"}
         assert read_frame(buffer) is None  # Clean EOF.
 
     def test_frames_are_canonical_json(self):
-        import io
-
         buffer = io.BytesIO()
         write_frame(buffer, {"z": 1, "a": 2})
         raw = buffer.getvalue()[4:]
@@ -121,8 +139,6 @@ class TestFrames:
         assert raw == b'{"a":2,"z":1}'
 
     def test_eof_inside_frame_is_an_error(self):
-        import io
-
         buffer = io.BytesIO()
         write_frame(buffer, {"type": "hello"})
         truncated = io.BytesIO(buffer.getvalue()[:-3])
@@ -130,13 +146,10 @@ class TestFrames:
             read_frame(truncated)
 
     def test_eof_inside_header_is_an_error(self):
-        import io
-
         with pytest.raises(ProtocolError):
             read_frame(io.BytesIO(b"\x00\x00"))
 
     def test_garbage_body_is_an_error(self):
-        import io
         import struct
 
         body = b"not json at all"
@@ -145,373 +158,214 @@ class TestFrames:
             read_frame(stream)
 
 
-class TestAddresses:
-    def test_unix_forms(self):
-        assert parse_address("unix:/tmp/x.sock") == ("unix", "/tmp/x.sock")
-        assert parse_address("/tmp/x.sock") == ("unix", "/tmp/x.sock")
-        assert parse_address("./pool.sock") == ("unix", "./pool.sock")
+class TestClientReads:
+    """The parent's reads of worker frames off a raw pipe."""
 
-    def test_tcp_forms(self):
-        assert parse_address("tcp:127.0.0.1:9001") == (
-            "tcp", ("127.0.0.1", 9001))
-        assert parse_address("localhost:9001") == ("tcp", ("localhost", 9001))
+    def test_frames_sent_a_byte_at_a_time_decode(self):
+        frames = [{"type": "hello", "pid": 1},
+                  {"type": "result", "id": 0, "payload": {"from": "pipe"},
+                   "elapsed": 0.5}]
+        buffer = io.BytesIO()
+        for frame in frames:
+            write_frame(buffer, frame)
+        read_end, write_end = os.pipe()
 
-    def test_rejections(self):
-        for bad in ("", "tcp:no-port", "tcp:host:notaport",
-                    "tcp:host:70000", "justaname"):
-            with pytest.raises(ValueError):
-                parse_address(bad)
+        def trickle():
+            with os.fdopen(write_end, "wb", buffering=0) as out:
+                for byte in buffer.getvalue():
+                    out.write(bytes([byte]))
+                    time.sleep(0.001)
+
+        writer = threading.Thread(target=trickle)
+        writer.start()
+        with os.fdopen(read_end, "rb", buffering=0) as inp:
+            decoded = [read_frame(inp), read_frame(inp), read_frame(inp)]
+        writer.join(timeout=30)
+        assert not writer.is_alive()
+        assert decoded == frames + [None]
 
 
 # ---------------------------------------------------------------------------
-# A live 2-worker daemon shared by the integration tests.
+# local_workers(2): the executor over live worker processes.
 # ---------------------------------------------------------------------------
-
-@pytest.fixture(scope="module")
-def daemon(tmp_path_factory):
-    path = str(tmp_path_factory.mktemp("distrib") / "pool.sock")
-    worker_daemon = WorkersDaemon(f"unix:{path}", workers=2, quiet=True)
-    worker_daemon.start()
-    thread = threading.Thread(target=worker_daemon.serve_forever,
-                              daemon=True)
-    thread.start()
-    yield worker_daemon
-    worker_daemon.drain()
-    thread.join(timeout=30)
-    assert not thread.is_alive(), "daemon did not drain"
-
-
-@pytest.fixture()
-def executor(daemon):
-    return DistribExecutor(daemon.bound)
-
 
 class TestDistribExecutor:
-    def test_handshake_and_liveness(self, daemon):
-        assert pool_alive(daemon.bound)
-        assert not pool_alive("unix:/nonexistent/satr-test.sock")
-        assert not pool_alive(None)
+    def test_handshake_and_liveness(self, spawned):
+        """Workers greet on start, stay up across batches, and exit
+        cleanly (status 0) at the end of their stdin."""
+        fallbacks = []
+        with local_workers(2) as executor:
+            for _ in range(2):
+                assert _same_bytes(
+                    executor.run_iter(_echo_items(3), fallbacks.append),
+                    _echo_items(3))
+            assert len(spawned) == 2
+            assert all(worker.proc.poll() is None for worker in spawned)
+        assert fallbacks == []
+        assert [worker.proc.returncode for worker in spawned] == [0, 0]
 
-    def test_stats_frame(self, daemon):
-        stats = fetch_pool_stats(daemon.bound)
-        assert stats["type"] == "stats"
-        assert stats["workers"] == 2
-        assert stats["workers_alive"] == 2
-        assert stats["address"] == daemon.bound
-        assert stats["uptime_seconds"] >= 0
-
-    def test_run_matches_serial_byte_for_byte(self, executor):
+    def test_run_matches_serial_byte_for_byte(self):
         items = _echo_items(6)
+        with local_workers(2) as executor:
+            runs = list(executor.run_iter(items))
         serial = run_serial(items)
-        distrib = _in_order(executor.run_iter(items))
-        assert [run[0] for run in distrib] == [run[0] for run in serial]
-        assert ([canonical_json(run[1]) for run in distrib]
-                == [canonical_json(run[1]) for run in serial])
+        assert [run[0] for run in _in_order(runs)] == [
+            run[0] for run in serial]
+        assert _same_bytes(runs, items)
 
-    def test_run_iter_completes_every_cell(self, executor):
-        items = _echo_items(5)
-        runs = list(executor.run_iter(items))
+    def test_run_iter_completes_every_cell(self):
+        """Every cell is answered, in completion order: the slow cell
+        on one worker lands after the quick ones the other ran."""
+        items = _items([_cell("sleepy_cell", "slow", seconds=1.0)]
+                       + [_cell("echo_cell", f"v{v}", value=v)
+                          for v in range(1, 5)])
+        with local_workers(2) as executor:
+            runs = list(executor.run_iter(items))
         assert sorted(run[0] for run in runs) == list(range(5))
+        assert runs[-1][0] == 0
         by_index = {run[0]: run[1] for run in runs}
         assert by_index[3] == {"value": 3, "squared": 9}
 
-    def test_exception_propagates_like_serial(self, executor):
+    def test_exception_propagates_like_serial(self):
         fallbacks = []
         items = _items([_cell("failing_cell", "boom", value=7)])
-        with pytest.raises(ValueError, match="deliberate failure for 7"):
-            list(executor.run_iter(items, fallbacks.append))
+        with local_workers(2) as executor:
+            with pytest.raises(ValueError,
+                               match="deliberate failure for 7"):
+                list(executor.run_iter(items, fallbacks.append))
         assert len(fallbacks) == 1 and "exception" in fallbacks[0]
 
-    def test_crash_retries_on_another_worker(self, daemon, executor,
-                                             tmp_path):
+    def test_crash_retries_on_another_worker(self, spawned, tmp_path):
+        """A worker that dies mid-cell is respawned and the cell runs
+        once more on the new process, with no fallback."""
         sentinel = str(tmp_path / "crash-once")
-        crashes_before = daemon.pool.counters["crashes_total"]
         items = _items(
             [_cell("echo_cell", f"v{v}", value=v) for v in range(3)]
             + [_cell("crash_once_cell", "crasher", value=99,
                      sentinel=sentinel)])
         fallbacks = []
-        runs = _in_order(executor.run_iter(items, fallbacks.append))
+        with local_workers(2) as executor:
+            runs = _in_order(executor.run_iter(items, fallbacks.append))
         assert runs[3][1] == {"value": 99, "recovered": True}
         assert [run[1]["value"] for run in runs[:3]] == [0, 1, 2]
-        # The daemon (not the client) absorbed the crash: one worker
-        # died, the cell was requeued, no client-side fallback fired.
-        assert daemon.pool.counters["crashes_total"] == crashes_before + 1
         assert fallbacks == []
-        self._wait_for_workers(daemon, 2)
+        assert len(spawned) == 3  # Two, then one respawn.
 
-    def test_killing_a_worker_mid_run_still_completes(self, daemon,
-                                                      executor):
-        self._wait_for_workers(daemon, 2)
-        items = _items([_cell("sleepy_cell", f"s{n}", seconds=0.3)
-                        for n in range(4)])
-        victim = daemon.pool.pids()[0]
+    def test_second_death_runs_the_cell_in_process(self, spawned):
+        """A cell whose retry kills its worker too runs here, announced;
+        the pool is back to full size for the rest of the batch."""
+        items = _items([_cell("worker_killing_cell", "killer", value=5,
+                              host=os.getpid())]
+                       + [_cell("echo_cell", f"v{v}", value=v)
+                          for v in range(1, 4)])
+        fallbacks = []
+        with local_workers(2) as executor:
+            runs = list(executor.run_iter(items, fallbacks.append))
+            assert sum(worker.proc.poll() is None
+                       for worker in spawned) == 2
+        assert _same_bytes(runs, items)
+        assert len(fallbacks) == 1 and "twice" in fallbacks[0]
+        assert len(spawned) == 4  # Two, then one respawn per death.
 
-        def assassinate():
-            time.sleep(0.15)  # Mid-first-round: two cells in flight.
-            os.kill(victim, signal.SIGKILL)
+    def test_killing_a_worker_mid_run_still_completes(self, spawned):
+        fallbacks = []
+        with local_workers(2) as executor:
+            list(executor.run_iter(_echo_items(2)))  # Start the workers.
+            victim = spawned[0].proc.pid
+            items = _items([_cell("sleepy_cell", f"s{n}", seconds=0.3)
+                            for n in range(4)])
 
-        killer = threading.Thread(target=assassinate)
-        killer.start()
-        runs = list(executor.run_iter(items))
-        killer.join()
+            def assassinate():
+                time.sleep(0.15)  # Mid-first-round: two cells in flight.
+                os.kill(victim, signal.SIGKILL)
+
+            killer = threading.Thread(target=assassinate)
+            killer.start()
+            runs = list(executor.run_iter(items, fallbacks.append))
+            killer.join(timeout=30)
         assert sorted(run[0] for run in runs) == list(range(4))
         assert all(run[1] == {"slept": 0.3} for run in runs)
-        self._wait_for_workers(daemon, 2)
+        assert fallbacks == []
+        assert len(spawned) == 3
 
-    def test_unreachable_pool_falls_back_to_serial(self, tmp_path):
-        executor = DistribExecutor(
-            f"unix:{tmp_path}/nobody-home.sock", connect_timeout=1.0)
+    def test_unreachable_pool_falls_back_to_serial(self, tmp_path,
+                                                   monkeypatch):
+        """Workers that cannot even be spawned: the batch runs here,
+        announced once."""
+        monkeypatch.setattr(local, "worker_command",
+                            lambda: [str(tmp_path / "no-such-python")])
         fallbacks = []
         items = _echo_items(3)
-        runs = _in_order(executor.run_iter(items, fallbacks.append))
-        assert ([canonical_json(run[1]) for run in runs]
-                == [canonical_json(run[1]) for run in run_serial(items)])
-        assert len(fallbacks) == 1 and "unreachable" in fallbacks[0]
+        with local_workers(2) as executor:
+            runs = list(executor.run_iter(items, fallbacks.append))
+        assert _same_bytes(runs, items)
+        assert len(fallbacks) == 1 and "unavailable" in fallbacks[0]
 
-    def test_cell_timeout_kills_worker_and_falls_back(self, daemon):
-        executor = DistribExecutor(daemon.bound, cell_timeout=0.2)
-        timeouts_before = daemon.pool.counters["timeouts_total"]
-        fallbacks = []
-        items = _items([_cell("sleepy_cell", "slow", seconds=1.0)])
-        runs = list(executor.run_iter(items, fallbacks.append))
-        assert runs[0][1] == {"slept": 1.0}  # In-process fallback ran it.
-        assert daemon.pool.counters["timeouts_total"] == timeouts_before + 1
-        assert len(fallbacks) == 1 and "timeout" in fallbacks[0]
-        self._wait_for_workers(daemon, 2)
-
-    def test_orchestrator_with_distrib_executor(self, daemon):
+    def test_orchestrator_with_distrib_executor(self):
         cells = [_cell("echo_cell", f"v{v}", value=v) for v in range(4)]
         telemetry = Telemetry()
-        distrib = Orchestrator(executor=DistribExecutor(daemon.bound),
-                               telemetry=telemetry).run(cells)
+        with local_workers(2) as executor:
+            distrib = Orchestrator(executor=executor,
+                                   telemetry=telemetry).run(cells)
         serial = Orchestrator().run(cells)
         assert ([canonical_json(p) for p in distrib]
                 == [canonical_json(p) for p in serial])
         assert telemetry.fallbacks == []
         assert telemetry.misses == 4
 
-    @staticmethod
-    def _wait_for_workers(daemon, count, timeout=30.0):
-        """Wait for crash/timeout respawns so later tests see full size."""
-        deadline = time.time() + timeout
-        while time.time() < deadline:
-            if daemon.pool.workers_alive() >= count:
-                return
-            time.sleep(0.05)
-        raise AssertionError(
-            f"pool never recovered to {count} workers")
+    def test_runs_without_any_socket(self, monkeypatch):
+        """The workers answer over their pipes: with no socket to be
+        had, a run still matches serial and falls back nowhere."""
+        def no_sockets(*args, **kwargs):
+            raise OSError("sockets are disabled in this test")
 
-
-def _frame_bytes(obj):
-    buffer = io.BytesIO()
-    write_frame(buffer, obj)
-    return buffer.getvalue()
-
-
-_HELLO = {"type": "hello", "protocol": PROTOCOL_VERSION, "workers": 1}
-
-
-class _FakeDaemon:
-    """One client on a unix socket, each frame it sends answered by
-    ``answer(sock, frame)``; ``received`` lists the frames."""
-
-    def __init__(self, path, answer):
-        self.received = []
-        self._answer = answer
-        self._listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        self._listener.bind(path)
-        self._listener.listen(1)
-        self.thread = threading.Thread(target=self._serve, daemon=True)
-        self.thread.start()
-
-    def _serve(self):
-        sock, _ = self._listener.accept()
-        with sock, sock.makefile("rb") as inp:
-            while True:
-                frame = read_frame(inp)
-                if frame is None:
-                    return
-                self.received.append(frame)
-                self._answer(sock, frame)
-
-    def close(self):
-        self.thread.join(timeout=30)
-        self._listener.close()
-        assert not self.thread.is_alive()
-
-
-class TestClientReads:
-    """The client's reads against a daemon that misbehaves on purpose."""
-
-    def test_silent_daemon_falls_back_after_missed_heartbeats(self,
-                                                             tmp_path):
-        def hello_then_silence(sock, frame):
-            if frame["type"] == "hello":
-                sock.sendall(_frame_bytes(_HELLO))
-
-        path = str(tmp_path / "silent.sock")
-        fake = _FakeDaemon(path, hello_then_silence)
+        monkeypatch.setattr(socket, "socket", no_sockets)
+        items = _echo_items(4)
         fallbacks = []
-        items = _echo_items(1)
-        runs = list(DistribExecutor(f"unix:{path}", heartbeat=0.05)
-                    .run_iter(items, fallbacks.append))
-        fake.close()
-        assert runs[0][1] == run_serial(items)[0][1]
-        assert len(fallbacks) == 1 and "silent" in fallbacks[0]
-        assert ([frame["type"] for frame in fake.received]
-                == ["hello", "run"] + ["ping"] * (MISSED_HEARTBEATS - 1))
-
-    def test_frames_sent_a_byte_at_a_time_decode(self, tmp_path):
-        def trickle(sock, frame):
-            if frame["type"] == "hello":
-                reply = _HELLO
-            else:
-                reply = {"type": "result", "id": frame["id"],
-                         "payload": {"from": "fake"}, "elapsed": 0.5}
-            for byte in _frame_bytes(reply):
-                sock.send(bytes([byte]))
-                time.sleep(0.001)
-
-        path = str(tmp_path / "trickle.sock")
-        fake = _FakeDaemon(path, trickle)
-        fallbacks = []
-        runs = list(DistribExecutor(f"unix:{path}")
-                    .run_iter(_echo_items(1), fallbacks.append))
-        fake.close()
-        assert runs == [(0, {"from": "fake"}, 0.5)]
+        with local_workers(2) as executor:
+            runs = list(executor.run_iter(items, fallbacks.append))
+        assert _same_bytes(runs, items)
         assert fallbacks == []
 
-
-class TestDaemonLifecycle:
-    def test_drain_unlinks_socket_and_stops(self, tmp_path):
-        path = str(tmp_path / "drain.sock")
-        worker_daemon = WorkersDaemon(f"unix:{path}", workers=1,
-                                      quiet=True)
-        worker_daemon.start()
-        thread = threading.Thread(target=worker_daemon.serve_forever,
-                                  daemon=True)
-        thread.start()
-        assert pool_alive(worker_daemon.bound)
-        worker_daemon.drain()
-        thread.join(timeout=30)
-        assert not thread.is_alive()
-        assert not os.path.exists(path)
-        assert worker_daemon.pool.workers_alive() == 0
-
-    def test_stale_socket_file_is_rebound(self, tmp_path):
-        path = str(tmp_path / "stale.sock")
-        # A socket file with no listener behind it (a crashed daemon).
-        orphan = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        orphan.bind(path)
-        orphan.close()
-        worker_daemon = WorkersDaemon(f"unix:{path}", workers=1,
-                                      quiet=True)
-        try:
-            assert worker_daemon.bound == f"unix:{path}"
-        finally:
-            # Workers were never started; just release the listener.
-            worker_daemon.drain()
-
-    def test_live_socket_refuses_second_daemon(self, daemon):
-        with pytest.raises(OSError, match="already listening"):
-            WorkersDaemon(daemon.bound, workers=1, quiet=True)
-
-    def test_drain_before_serving_still_stops_the_pool(self, tmp_path):
-        """A drain that lands before the serving thread first runs (a
-        private pool closed at once) still stops every worker."""
-        worker_daemon = WorkersDaemon(f"unix:{tmp_path}/early.sock",
-                                      workers=1, quiet=True)
-        worker_daemon.start()
-        worker_daemon.drain()
-        thread = threading.Thread(target=worker_daemon.serve_forever,
-                                  daemon=True)
-        thread.start()
-        thread.join(timeout=30)
-        assert not thread.is_alive()
-        assert worker_daemon.pool.workers_alive() == 0
-
-    def test_departed_client_cells_are_dropped(self, tmp_path):
-        """Cells a client queued and hung up on are skipped, so they do
-        not keep the pool from its other clients."""
-        path = str(tmp_path / "gone.sock")
-        worker_daemon = WorkersDaemon(f"unix:{path}", workers=1, quiet=True)
-        worker_daemon.start()
-        thread = threading.Thread(target=worker_daemon.serve_forever,
-                                  daemon=True)
-        thread.start()
+    def test_abandoned_batch_is_drained(self, spawned, tmp_path):
+        """A batch dropped after its first result runs no unsent cell,
+        and the answers still in flight are read before the next batch,
+        so none is taken for a later cell's."""
         markers = tmp_path / "markers"
         markers.mkdir()
-        try:
-            sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            sock.connect(path)
-            with sock, sock.makefile("rb") as inp, \
-                    sock.makefile("wb") as out:
-                write_frame(out, {"type": "hello",
-                                  "protocol": PROTOCOL_VERSION})
-                read_frame(inp)
-                for n in range(5):
-                    cell = _cell("marked_sleepy_cell", f"s{n}", seconds=1.0,
-                                 marker=str(markers / f"s{n}"))
-                    write_frame(out, {"type": "run", "id": n,
-                                      "cell": cell.to_dict()})
-                deadline = time.monotonic() + 30
-                while not os.listdir(markers):
-                    assert time.monotonic() < deadline, "no cell started"
-                    time.sleep(0.01)
-            hung_up = time.monotonic()
-            pool = worker_daemon.pool
-            while pool.queue_depth() or pool.busy():
-                assert time.monotonic() - hung_up < 3.0, \
-                    "a departed client's cells kept running"
-                time.sleep(0.05)
-            assert len(os.listdir(markers)) <= 2
-        finally:
-            worker_daemon.drain()
-            thread.join(timeout=30)
-        assert not thread.is_alive()
+        items = _items([_cell("marked_sleepy_cell", f"s{n}", seconds=0.3,
+                              marker=str(markers / f"s{n}"))
+                        for n in range(6)])
+        fallbacks = []
+        with local_workers(2) as executor:
+            batch = executor.run_iter(items, fallbacks.append)
+            next(batch)
+            batch.close()
+            # The first two cells, plus the one fed to the worker that
+            # answered first before its result was handed over.
+            assert len(os.listdir(markers)) == 3
+            later = _echo_items(4)
+            assert _same_bytes(executor.run_iter(later, fallbacks.append),
+                               later)
+        assert fallbacks == []
+        assert len(spawned) == 2  # No answer was out of turn.
 
 
 class TestLocalWorkers:
-    """``--jobs N``: a private daemon per command, cleaned up on exit."""
-
-    @pytest.fixture()
-    def spawned(self, tmp_path, monkeypatch):
-        """Every worker handle the pool spawns; temp dirs in tmp_path."""
-        import tempfile
-
-        from repro.distrib import pool
-
-        handles = []
-        original = pool.WorkerHandle.__init__
-
-        def tracked(handle):
-            original(handle)
-            handles.append(handle)
-
-        monkeypatch.setattr(pool.WorkerHandle, "__init__", tracked)
-        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
-        return handles
+    """``--jobs N``: workers private to a command, stopped on exit."""
 
     def test_matches_serial_and_cleans_up(self, spawned, tmp_path):
-        from repro.distrib import local_workers
-
         items = _echo_items(6)
         fallbacks = []
         with local_workers(2) as executor:
-            runs = _in_order(executor.run_iter(items, fallbacks.append))
-            # The private socket directory, made by the first batch.
-            assert len(os.listdir(tmp_path)) == 1
-        assert ([canonical_json(run[1]) for run in runs]
-                == [canonical_json(run[1]) for run in run_serial(items)])
+            runs = list(executor.run_iter(items, fallbacks.append))
+        assert _same_bytes(runs, items)
         assert fallbacks == []
         assert len(spawned) == 2
-        assert all(handle.proc.poll() is not None for handle in spawned)
+        assert all(worker.proc.poll() is not None for worker in spawned)
         assert os.listdir(tmp_path) == []
 
     def test_no_worker_outlives_a_raising_cell(self, spawned, tmp_path):
-        from repro.distrib import local_workers
-
         markers = tmp_path / "markers"
         markers.mkdir()
         items = _items([_cell("failing_cell", "boom", value=1)]
@@ -523,18 +377,17 @@ class TestLocalWorkers:
             with local_workers(2) as executor:
                 list(executor.run_iter(items, fallbacks.append))
         assert len(fallbacks) == 1 and "exception" in fallbacks[0]
-        # Only the cells already on a worker ran; the queued rest were
+        # Only the cells already on a worker ran; the unsent rest were
         # dropped instead of holding the exit up.
         assert len(os.listdir(markers)) <= 2
         assert len(spawned) == 2
-        assert all(handle.proc.poll() is not None for handle in spawned)
+        assert all(worker.proc.poll() is not None for worker in spawned)
         assert os.listdir(tmp_path) == ["markers"]
 
     def test_nothing_starts_without_cells_to_run(self, spawned, tmp_path,
                                                  monkeypatch, capsys):
         """Workers start with the first batch that has misses: empty
         blocks and a fully cached ``--jobs 2`` command start none."""
-        from repro.distrib import local_workers
         from repro.experiments import runner
 
         for _ in range(6):
@@ -552,3 +405,4 @@ class TestLocalWorkers:
         assert warm.out == cold and ", 0 misses" in warm.err
         assert spawned == []
         assert os.listdir(tmp_path) == ["cache"]
+

@@ -7,7 +7,6 @@ the same cell list produce byte-identical rendered reports.
 import hashlib
 import json
 import os
-import socket
 import sys
 import threading
 import time
@@ -185,15 +184,12 @@ class TestOrchestrator:
         assert exited.value.code == 2
         assert "--jobs" in capsys.readouterr().err
 
-    def test_open_executor_picks_by_address_then_jobs(self):
-        from repro.distrib import DistribExecutor, LocalWorkers
+    def test_open_executor_picks_by_jobs(self):
+        from repro.distrib import LocalWorkers
         from repro.orchestrate import SerialExecutor, open_executor
 
         with open_executor(1) as executor:
             assert isinstance(executor, SerialExecutor)
-        with open_executor(4, "unix:/tmp/x.sock") as executor:
-            assert isinstance(executor, DistribExecutor)
-            assert executor.address == "unix:/tmp/x.sock"
         with open_executor(2) as executor:
             assert isinstance(executor, LocalWorkers)
             assert executor.count == 2
@@ -531,111 +527,93 @@ class TestCountersFieldIteration:
             counters.delta_since(Counters())
 
 
-class _HangUpDaemon:
-    """A fake ``satr workers`` daemon that hangs up after k results.
+def worker_killing_cell(params):
+    """Kill every worker that runs it; an echo in the ``host`` process."""
+    if os.getpid() != params["host"]:
+        os._exit(17)
+    return echo_cell(params)
 
-    It greets like the real daemon, reads all ``expected`` run frames,
-    answers the first ``k`` of them (computed in-process), then closes
-    the connection with the rest unanswered.
-    """
 
-    def __init__(self, path, expected, k):
-        from repro.distrib import PROTOCOL_VERSION
-
-        self.protocol = PROTOCOL_VERSION
-        self.expected, self.k = expected, k
-        self.address = f"unix:{path}"
-        self.listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        self.listener.bind(path)
-        self.listener.listen(1)
-        self.thread = threading.Thread(target=self._serve, daemon=True)
-        self.thread.start()
-
-    def _serve(self):
-        from repro.distrib import read_frame, write_frame
-
-        conn, _ = self.listener.accept()
-        with conn, conn.makefile("rb") as inp, conn.makefile("wb") as out:
-            read_frame(inp)  # The client's hello.
-            write_frame(out, {"type": "hello", "protocol": self.protocol})
-            runs = [read_frame(inp) for _ in range(self.expected)]
-            for frame in runs[:self.k]:
-                write_frame(out, {"type": "result", "id": frame["id"],
-                                  "payload": execute_cell(frame["cell"]),
-                                  "elapsed": 0.0})
-        self.listener.close()
+def killing_cell(value: int) -> Cell:
+    """A cell no worker survives, which runs fine in this process."""
+    return Cell(experiment="echo", cell_id=f"k{value}",
+                fn="tests.test_orchestrate:worker_killing_cell",
+                params={"value": value, "host": os.getpid()})
 
 
 class TestExecutorFallback:
-    """The fallback ladder: a lost worker pool degrades to in-process
-    execution, announced, and never changes the bytes."""
+    """The fallback ladder: dying or silent workers degrade to
+    in-process execution, announced, and never change the bytes."""
 
-    def test_partial_failure_matches_serial_bytes(self, tmp_path):
-        """A pool that hangs up after k of n results must still yield
+    def test_partial_failure_matches_serial_bytes(self):
+        """Workers that die on some cells (twice each) must still yield
         the same ordered byte-identical payload list as serial."""
-        from repro.distrib import DistribExecutor
+        from repro.distrib import local_workers
         from repro.orchestrate import canonical_json
         from repro.orchestrate.executor import run_serial
 
-        cells = [tiny_cell(v) for v in (5, 1, 4, 2, 3)]
+        cells = [tiny_cell(5), killing_cell(1), tiny_cell(4),
+                 killing_cell(2), tiny_cell(3)]
         items = [(i, c.to_dict()) for i, c in enumerate(cells)]
         serial = run_serial(items)
 
-        daemon = _HangUpDaemon(str(tmp_path / "hangup.sock"), 5, k=2)
         fallbacks = []
-        broken = sorted(DistribExecutor(daemon.address).run_iter(
-            items, on_fallback=fallbacks.append), key=lambda run: run[0])
+        with local_workers(2) as executor:
+            broken = sorted(executor.run_iter(
+                items, on_fallback=fallbacks.append),
+                key=lambda run: run[0])
         assert [run[0] for run in broken] == [run[0] for run in serial]
         assert ([canonical_json(run[1]) for run in broken]
                 == [canonical_json(run[1]) for run in serial])
-        assert len(fallbacks) == 1
-        assert "3 remaining cells" in fallbacks[0]
+        assert len(fallbacks) == 2
+        assert all("twice" in reason for reason in fallbacks)
 
-    def test_orchestrator_records_fallback_in_telemetry(self, tmp_path):
+    def test_orchestrator_records_fallback_in_telemetry(self):
         """Pool degradation lands in Telemetry.fallbacks and the
         summary line, not in a bare RuntimeWarning."""
-        from repro.distrib import DistribExecutor
+        from repro.distrib import local_workers
 
-        daemon = _HangUpDaemon(str(tmp_path / "hangup.sock"), 4, k=2)
         lines = []
         telemetry = Telemetry(progress=lines.append)
-        orch = Orchestrator(telemetry=telemetry,
-                            executor=DistribExecutor(daemon.address))
-        cells = [tiny_cell(v) for v in range(4)]
-        payloads = orch.run(cells)
+        cells = [tiny_cell(0), killing_cell(1), tiny_cell(2), tiny_cell(3)]
+        with local_workers(2) as executor:
+            orch = Orchestrator(telemetry=telemetry, executor=executor)
+            payloads = orch.run(cells)
         assert [p["value"] for p in payloads] == [0, 1, 2, 3]
         assert len(telemetry.fallbacks) == 1
-        assert "2 remaining cells" in telemetry.fallbacks[0]
+        assert "cell 1" in telemetry.fallbacks[0]
         assert any("[executor] fallback:" in line for line in lines)
         assert "1 executor fallback" in telemetry.summary()
 
-    def test_no_hook_still_warns(self, tmp_path):
+    def test_no_hook_still_warns(self, monkeypatch):
         """Without a hook a degradation is a RuntimeWarning, not silent."""
+        import sys
         import warnings
 
-        from repro.distrib import DistribExecutor
+        from repro.distrib import local, local_workers
 
-        executor = DistribExecutor(f"unix:{tmp_path}/nobody-home.sock",
-                                   connect_timeout=1.0)
+        monkeypatch.setattr(local, "worker_command",
+                            lambda: [sys.executable, "-c", "pass"])
         items = [(i, tiny_cell(i).to_dict()) for i in range(3)]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            runs = list(executor.run_iter(items))
+            with local_workers(2) as executor:
+                runs = list(executor.run_iter(items))
         assert [run[1]["value"] for run in runs] == [0, 1, 2]
         assert [str(w.message) for w in caught
                 if issubclass(w.category, RuntimeWarning)
-                and "unreachable" in str(w.message)]
+                and "unavailable" in str(w.message)]
 
     def test_silent_workers_fall_back_to_serial(self, tmp_path,
                                                 monkeypatch):
         """Local workers that never say hello: every batch goes serial,
-        announced once, and no temp directory is left behind."""
+        announced once, and nothing is left behind."""
         import sys
         import tempfile
 
-        from repro.distrib import local_workers, pool
+        from repro.distrib import local, local_workers
 
-        monkeypatch.setattr(pool, "worker_command",
+        monkeypatch.setattr(local, "worker_command",
                             lambda: [sys.executable, "-c", "pass"])
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
         telemetry = Telemetry()

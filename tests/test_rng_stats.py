@@ -1,7 +1,7 @@
 """Deterministic RNG and statistics helpers."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from repro.common.rng import DeterministicRng, derive_seed
 from repro.common.stats import Cdf, boxplot, geometric_mean, mean, percentile
@@ -114,6 +114,7 @@ class TestStats:
 
     @given(st.lists(st.floats(min_value=-1e9, max_value=1e9,
                               allow_nan=False), min_size=1, max_size=200))
+    @example([5e-324, 5e-324])
     def test_boxplot_ordering_invariant(self, values):
         box = boxplot(values)
         assert (box.minimum <= box.q1 <= box.median

@@ -925,71 +925,18 @@ class TestHeldRecordsStayIntact:
 
 
 class TestWorkerPoolIntegration:
-    """The serve <-> distrib seam: fallback counter + worker gauges."""
+    """The serve <-> distrib seam: "jobs" runs + the fallback counter."""
 
     def test_new_specs_are_declared_and_exposed(self):
         from repro.serve.metrics import SERVE_METRIC_SPECS, ServerMetrics
 
         by_name = {spec.name: spec.kind for spec in SERVE_METRIC_SPECS}
         assert by_name["satr_executor_fallbacks_total"] == "counter"
-        assert by_name["satr_serve_workers_alive"] == "gauge"
-        assert by_name["satr_serve_workers_queue_depth"] == "gauge"
         metrics = ServerMetrics()
         metrics.executor_fallbacks(2)
         metrics.executor_fallbacks()
         exposition = metrics.exposition()
         assert "satr_executor_fallbacks_total 3" in exposition
-
-    def test_gauges_read_zero_without_a_pool(self):
-        app = ServeApp(cache=None, workers=1, targets=dict(FAKE_TARGETS))
-        values = app.metrics.snapshot()
-        assert values["satr_serve_workers_alive"] == 0.0
-        assert values["satr_serve_workers_queue_depth"] == 0.0
-
-    def test_gauges_read_zero_when_pool_is_unreachable(self, tmp_path):
-        app = ServeApp(cache=None, workers=1, targets=dict(FAKE_TARGETS),
-                       worker_address=f"unix:{tmp_path}/gone.sock")
-        assert app.metrics.snapshot()["satr_serve_workers_alive"] == 0.0
-
-    def test_run_through_worker_pool_matches_in_process(self, tmp_path):
-        """A served run dispatched to a live warm-worker pool renders
-        the same report bytes as one executed in-process, and the
-        worker gauges expose the pool's liveness."""
-        from repro.distrib import WorkersDaemon
-
-        path = str(tmp_path / "serve-pool.sock")
-        daemon = WorkersDaemon(f"unix:{path}", workers=1, quiet=True)
-        daemon.start()
-        pool_thread = threading.Thread(target=daemon.serve_forever,
-                                       daemon=True)
-        pool_thread.start()
-        try:
-            app = ServeApp(cache=None, workers=1,
-                           targets=dict(FAKE_TARGETS),
-                           worker_address=daemon.bound)
-            app.start()
-            record, created = app.submit(
-                RunRequest(target="fork", scale="quick", seed=3))
-            assert created
-            app.registry.wait_finished(record)
-            assert record.state == "done", record.error
-            reference = ServeApp(cache=None, workers=1,
-                                 targets=dict(FAKE_TARGETS))
-            reference.start()
-            ref_record, _ = reference.submit(
-                RunRequest(target="fork", scale="quick", seed=3))
-            reference.registry.wait_finished(ref_record)
-            assert record.report == ref_record.report
-            assert app.metrics.snapshot()[
-                "satr_serve_workers_alive"] == 1.0
-            # The pool executed it: no fallback was counted.
-            assert app.metrics.snapshot()[
-                "satr_executor_fallbacks_total"] == 0
-            app.drain(timeout=10)
-            reference.drain(timeout=10)
-        finally:
-            daemon.drain()
-            pool_thread.join(timeout=30)
 
     def test_multi_job_run_matches_single_job(self):
         """A run with "jobs": 2 executes on two local warm workers (no
@@ -1015,16 +962,20 @@ class TestWorkerPoolIntegration:
         assert fallbacks == {2: 0, 1: 0}
         assert in_server == {2: 0, 1: 4}
 
-    def test_dead_pool_counts_fallbacks_and_still_serves(self, tmp_path):
-        """A serve pointed at a dead pool degrades to in-process
-        execution and the fallback counter records it."""
-        app = ServeApp(cache=None, workers=1, targets=dict(FAKE_TARGETS),
-                       worker_address=f"unix:{tmp_path}/dead.sock")
+    def test_dead_pool_counts_fallbacks_and_still_serves(self,
+                                                         monkeypatch):
+        """A "jobs": 2 run whose workers cannot start degrades to
+        in-process execution and the fallback counter records it."""
+        from repro.distrib import local
+
+        monkeypatch.setattr(local, "worker_command",
+                            lambda: [sys.executable, "-c", "pass"])
+        app = ServeApp(cache=None, workers=1, targets=dict(FAKE_TARGETS))
         app.start()
         record, _ = app.submit(RunRequest(target="fork", scale="quick",
-                                          seed=5))
+                                          seed=5, jobs=2))
         app.registry.wait_finished(record)
         assert record.state == "done", record.error
         assert app.metrics.snapshot()[
-            "satr_executor_fallbacks_total"] >= 1
+            "satr_executor_fallbacks_total"] == 1
         app.drain(timeout=10)
